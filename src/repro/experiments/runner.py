@@ -233,6 +233,10 @@ def _run_pool(points, todo, records, cache, printer, jobs, timeout_s,
 def _reap(point, proc, conn, t0, timeout_s) -> Optional[PointRecord]:
     """One poll of a worker: its record when finished, else None."""
     elapsed = time.monotonic() - t0
+    # Liveness first: a worker that sends its result and exits between
+    # the pipe poll and the liveness check would otherwise be reported
+    # dead with its result still in the pipe.
+    alive = proc.is_alive()
     if conn.poll():
         try:
             status, payload, telem = conn.recv()
@@ -257,7 +261,7 @@ def _reap(point, proc, conn, t0, timeout_s) -> Optional[PointRecord]:
             error={"type": "Timeout",
                    "message": f"point exceeded timeout of {timeout_s}s"},
         )
-    if not proc.is_alive():
+    if not alive:
         proc.join()
         conn.close()
         return PointRecord(

@@ -35,6 +35,7 @@ import heapq
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro import obs as _obs
+from repro.sim import fastpath as _fastpath
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -97,6 +98,11 @@ class Simulator:
     # every schedule call for no measurable gain.
     COMPACT_MIN_TOMBSTONES = 64
 
+    # Slotted so the compiled loop (repro.sim.fastpath) reads and writes
+    # these fields at fixed member offsets.
+    __slots__ = ("now", "_heap", "_seq", "_n_executed", "_n_cancelled",
+                 "compactions", "obs", "_fast")
+
     def __init__(self) -> None:
         self.now: int = 0
         self._heap: list[tuple[int, int, EventHandle]] = []
@@ -109,6 +115,9 @@ class Simulator:
         # ``is None`` test. A TelemetryContext in force at construction
         # time attaches a bundle here automatically.
         self.obs: Optional["Observability"] = None
+        # The compiled run loop, or None for the pure-Python reference
+        # loop (fastpath.ENABLED = False, or no compiler available).
+        self._fast = _fastpath.activate()
         ctx = _obs.active_context()
         if ctx is not None:
             ctx.attach(self)
@@ -214,53 +223,36 @@ class Simulator:
         ``until`` even if the heap emptied earlier.
 
         With ``sim.obs.profile`` set, an instrumented loop that times
-        every callback runs instead; the lean loop below is untouched by
-        telemetry (the check is per ``run()`` call, not per event).
+        every callback runs instead; the lean loop is untouched by
+        telemetry (the check is per ``run()`` call, not per event). The
+        lean loop is the compiled one (:mod:`repro.sim.fastpath`) when it
+        is active, else the pure-Python reference below; both pop in the
+        same order and propagate any exception a callback raises.
         """
         if self.obs is not None and self.obs.profile is not None:
             return self._run_profiled(until, max_events)
-        executed = 0
         heap = self._heap
-        pop = heapq.heappop
-        limit = _NO_LIMIT if until is None else until
-        # Pop-first: popping returns the entry the peek would read, so
-        # the loop touches the heap once per event; the rare entry past
-        # the limit (at most one per run() call) is pushed back. The
-        # common no-budget call gets a loop with one fewer compare per
-        # event, and an IndexError from popping the emptied heap ends it
-        # (zero-cost try; no per-iteration truthiness test).
-        try:
-            if max_events is None:
-                while True:
-                    time, _, handle = pop(heap)
-                    if time > limit:
-                        heapq.heappush(heap, (time, _, handle))
-                        break
-                    if handle.cancelled:
-                        self._n_cancelled -= 1
-                        continue
-                    self.now = time
-                    handle.fired = True
-                    handle.fn(*handle.args)
-                    executed += 1
-            else:
-                budget = max_events
-                while True:
-                    time, _, handle = pop(heap)
-                    if time > limit:
-                        heapq.heappush(heap, (time, _, handle))
-                        break
-                    if handle.cancelled:
-                        self._n_cancelled -= 1
-                        continue
-                    self.now = time
-                    handle.fired = True
-                    handle.fn(*handle.args)
-                    executed += 1
-                    if executed == budget:
-                        break
-        except IndexError:
-            pass
+        if self._fast is not None:
+            executed = self._fast(self, until, max_events)
+        else:
+            executed = 0
+            pop = heapq.heappop
+            limit = _NO_LIMIT if until is None else until
+            budget = -1 if max_events is None else max_events
+            while heap:
+                time, seq, handle = pop(heap)
+                if time > limit:
+                    heapq.heappush(heap, (time, seq, handle))
+                    break
+                if handle.cancelled:
+                    self._n_cancelled -= 1
+                    continue
+                self.now = time
+                handle.fired = True
+                handle.fn(*handle.args)
+                executed += 1
+                if executed == budget:
+                    break
         if until is not None and self.now < until and (
             not heap or heap[0][0] > until
         ):

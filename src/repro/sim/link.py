@@ -20,16 +20,23 @@ hundreds of heap entries with one. Set the module flag
 reference one-event-per-packet path (the determinism tests diff the two).
 
 The feeding :class:`~repro.sim.queues.Port` may additionally
-**batch-advance** its drain (see ``queues.BATCH_DRAIN``): it hands each
-packet to :meth:`Link._schedule` at *enqueue* time with the precomputed
-serialization-finish instant, instead of calling :meth:`transmit` from a
-per-packet finish callback. Scheduled entries sit in the same in-flight
-deque (their wire-entry time is ``deliver_ps - prop_ps``); anything that
-could change a not-yet-on-the-wire packet's fate — ``fail()``, attaching
-a loss model, a direct :meth:`transmit` racing ahead of the schedule —
-first *recalls* the future entries to the port (:meth:`_recall` /
-``Port._rollback``), which replays them through the reference per-packet
-path so failure and loss semantics stay event-for-event identical.
+**batch-advance** its drain (see ``queues.BATCH_DRAIN``): its
+``enqueue`` commits each packet straight into this link's in-flight
+deque at *enqueue* time, with the precomputed serialization-finish
+instant plus the propagation delay, and arms the drain — instead of
+calling :meth:`transmit` from a per-packet finish callback. The delivery
+seq is reserved at commit time; the deque stays FIFO because the port
+commits finishes monotonically. Scheduled entries have wire-entry time
+``deliver_ps - prop_ps``; anything that could change a
+not-yet-on-the-wire packet's fate — ``fail()``, attaching a loss model,
+a direct :meth:`transmit` racing ahead of the schedule — first *recalls*
+the future entries to the port (:meth:`_recall` / ``Port._rollback``),
+which replays them through the reference per-packet path so failure and
+loss semantics stay event-for-event identical.
+
+When :mod:`repro.sim.fastpath` is active, :meth:`Link._drain` runs
+compiled (same settle, same delivery order); a link or feeding port of
+an unexpected type still runs the Python method.
 """
 
 from __future__ import annotations
@@ -233,31 +240,6 @@ class Link:
                     heappush(sim._heap, (t, s, handle))
         else:
             sim.after(self.prop_ps, self._deliver, pkt)
-
-    def _schedule(self, pkt: Packet, finish_ps: int) -> None:
-        """Batch-advance entry point: accept a packet whose serialization
-        the feeding port has committed to finish at ``finish_ps`` >= now.
-
-        Called from ``Port.enqueue``'s fast path instead of a per-packet
-        finish callback later invoking :meth:`transmit`. The delivery seq
-        is reserved now (commit time) rather than at finish time; the
-        deque stays FIFO because the port commits finishes monotonically
-        and every mode switch recalls future entries first.
-        """
-        sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        q = self._inflight
-        q.append((finish_ps + self.prop_ps, seq, pkt))
-        if not self._drain_armed:
-            self._drain_armed = True
-            t, s, _ = q[0]
-            handle = self._drain_handle
-            if handle is None:
-                self._drain_handle = sim.at_seq(t, s, self._drain)
-            else:
-                handle.time = t
-                handle.fired = False
-                heappush(sim._heap, (t, s, handle))
 
     def _recall(self, expect: int) -> list:
         """Hand back every scheduled packet not yet on the wire, in FIFO

@@ -32,6 +32,12 @@ the reference per-packet path, keeping behavior event-for-event
 identical. Set the module flag ``BATCH_DRAIN = False`` before
 constructing ports to force the reference path everywhere (the equality
 tests diff the two).
+
+The batch commit into the link's in-flight deque lives in
+:meth:`Port.enqueue`. When :mod:`repro.sim.fastpath` is active, the
+common case of ``enqueue`` — batch mode, empty FIFO, no telemetry,
+monitor or PFC — runs compiled with identical arithmetic and RNG draw
+order; every other case runs the Python method.
 """
 
 from __future__ import annotations
@@ -447,9 +453,10 @@ class Port:
                 start = now
             self._busy_until = finish = start + ser
             sched.append((finish, size))
-            # Link._schedule inlined (one call per packet is measurable):
-            # commit straight into the link's in-flight deque and arm its
-            # drain if it is dark. Must stay behavior-identical to it.
+            # Commit straight into the link's in-flight deque (delivery
+            # seq reserved now, at commit) and arm its drain if it is
+            # dark. The compiled enqueue (_fastpath.c) must stay
+            # bit-identical to this.
             link = self.link
             sim = self.sim
             seq = sim._seq = sim._seq + 1

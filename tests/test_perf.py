@@ -23,6 +23,7 @@ from repro.experiments.harness import (
     run_specs,
 )
 from repro.obs import TelemetryContext, enable
+from repro.sim import fastpath
 from repro.sim import packet as packet_mod
 from repro.sim.engine import Simulator
 from repro.sim.host import Host
@@ -240,14 +241,20 @@ class TestLinkCoalescing:
 # ----------------------------------------------------------------------
 
 
-def _mixed_traffic_summary(seed: int, poison: bool = False):
-    """A small two-DC Poisson run reduced to a canonical JSON summary."""
+def _mixed_traffic_summary(seed: int, poison: bool = False,
+                           soa: bool = False):
+    """A small two-DC Poisson run reduced to a canonical JSON summary.
+    ``poison`` / ``soa`` attach a poisoned free-list or struct-of-arrays
+    packet pool to every host."""
     sim = Simulator()
     params = SCALE.params()
     topo = build_multidc(sim, "uno", params, SCALE, seed=seed)
     if poison:
         for host in topo.all_hosts():
             host.enable_packet_pool(poison=True)
+    if soa:
+        for host in topo.all_hosts():
+            host.pool = SoAPacketPool()
     traffic = PoissonTraffic(
         topo,
         TrafficConfig(
@@ -269,7 +276,20 @@ def _mixed_traffic_summary(seed: int, poison: bool = False):
     return summary, sim.events_executed
 
 
-class TestDeterminism:
+class _OnHotPath:
+    """Runs every test of the class on one per-packet hot path: the
+    compiled one (``COMPILED = True``, the default whenever a C compiler
+    is available) or the pure-Python reference (``fastpath.ENABLED =
+    False``). Each class below has a ``...Python`` twin."""
+
+    COMPILED = True
+
+    @pytest.fixture(autouse=True)
+    def _hot_path(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "ENABLED", self.COMPILED)
+
+
+class TestDeterminism(_OnHotPath):
     def test_coalesced_matches_reference_path(self, monkeypatch):
         """The coalesced delivery stream is event-for-event identical to
         the one-heap-entry-per-packet reference path: byte-identical
@@ -287,6 +307,10 @@ class TestDeterminism:
         first = canonical_json(fig1.run_point(point))
         second = canonical_json(fig1.run_point(point))
         assert first == second
+
+
+class TestDeterminismPython(TestDeterminism):
+    COMPILED = False
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +395,10 @@ def _fail_mid_burst(state):
     state["link"].fail()
 
 
-class TestBatchAdvance:
+class TestBatchAdvance(_OnHotPath):
     """The batch-advanced drain must be event-for-event identical to the
     reference one-callback-per-packet path (BATCH_DRAIN = False) at every
-    adversarial decision boundary."""
+    adversarial decision boundary, on both hot paths."""
 
     def test_red_crossed_mid_burst(self):
         # capacity 24 KB: the burst walks occupancy through RED's
@@ -431,6 +455,25 @@ class TestBatchAdvance:
         finally:
             queues_mod.BATCH_DRAIN = old
         assert batched == reference
+
+    @pytest.mark.skipif(packet_mod._np is None, reason="numpy unavailable")
+    def test_mixed_traffic_matches_reference_soa_pool(self):
+        # SoA packet views are not Packet instances: the compiled entries
+        # must defer them to the Python methods, with identical results.
+        old = queues_mod.BATCH_DRAIN
+        try:
+            queues_mod.BATCH_DRAIN = True
+            batched = _mixed_traffic_summary(71, soa=True)
+            queues_mod.BATCH_DRAIN = False
+            reference = _mixed_traffic_summary(71, soa=True)
+        finally:
+            queues_mod.BATCH_DRAIN = old
+        assert batched == reference
+        assert batched == _mixed_traffic_summary(71)
+
+
+class TestBatchAdvancePython(TestBatchAdvance):
+    COMPILED = False
 
 
 # ----------------------------------------------------------------------
