@@ -268,7 +268,7 @@ class Receiver:
         self.send_ack(pkt)
 
     def send_ack(self, pkt: Packet) -> None:
-        ack = make_ack(pkt, self.sim.now, pool=self.host.pool)
+        ack = make_ack(pkt, self.sim.now)
         self.host.send(ack)
 
     def _idle_check(self) -> None:
@@ -611,9 +611,7 @@ class Sender:
     def _emit(self, seq: int) -> None:
         now = self.sim.now
         payload = self.payload_of(seq)
-        pool = self.src.pool
-        alloc = Packet if pool is None else pool.acquire
-        pkt = alloc(
+        pkt = Packet(
             DATA,
             self.flow_id,
             src=self.src.node_id,
@@ -705,14 +703,6 @@ class Sender:
         else:
             self.inflight_bytes -= payload
         self.stats.bytes_acked += payload
-        pool = self.src.pool
-        if pool is not None and pkt.echo_sent_ps == sent.sent_ps:
-            # The ACK echoes the exact copy we just retired: it was
-            # delivered and consumed, nothing else references it (each
-            # (re)transmission is a distinct object with a distinct
-            # sent_ps; a mismatch means an older copy arrived while this
-            # one may still be on the wire — then we must not recycle).
-            pool.release(sent)
         rtt = self.sim.now - pkt.echo_sent_ps
         if rtt > 0:
             if self.min_rtt_ps is None or rtt < self.min_rtt_ps:

@@ -10,7 +10,6 @@ from repro.experiments import fig1
 from repro.experiments.api import canonical_json
 from repro.obs import TelemetryContext
 from repro.sim import fastpath
-from repro.sim import packet as packet_mod
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.queues import Port
@@ -138,14 +137,10 @@ class TestCompiledMatchesPython:
         assert (_on(True, _burst_trace, batch, **kwargs)
                 == _on(False, _burst_trace, batch, **kwargs))
 
-    @pytest.mark.parametrize("pool", ["none", "poison", "soa"])
-    def test_mixed_traffic(self, compiled, pool):
-        if pool == "soa" and packet_mod._np is None:
-            pytest.skip("numpy unavailable")
-        kwargs = dict(poison=pool == "poison", soa=pool == "soa")
+    def test_mixed_traffic(self, compiled):
         for seed in (71, 43):
-            assert (_on(True, _mixed_traffic_summary, seed, **kwargs)
-                    == _on(False, _mixed_traffic_summary, seed, **kwargs))
+            assert (_on(True, _mixed_traffic_summary, seed)
+                    == _on(False, _mixed_traffic_summary, seed))
 
     def test_fig1_quick_results_byte_identical(self, compiled):
         def results():

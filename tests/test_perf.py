@@ -1,10 +1,10 @@
 """Hot-path overhaul invariants: coalesced event streams, tombstone
-compaction, packet pooling, and lazy metric registration.
+compaction, batch-advance port drains, and lazy metric registration.
 
 The perf work in engine/link/queues must be *observationally invisible*:
 same event order, same results, byte-identical summaries. These tests pin
-that bar — plus the safety nets (poison pooling, failure flush telemetry)
-the optimizations ship with.
+that bar — plus the safety net (failure flush telemetry) the
+optimizations ship with.
 """
 
 import random
@@ -24,13 +24,11 @@ from repro.experiments.harness import (
 )
 from repro.obs import TelemetryContext, enable
 from repro.sim import fastpath
-from repro.sim import packet as packet_mod
 from repro.sim.engine import Simulator
-from repro.sim.host import Host
 from repro.sim.link import Link
-from repro.sim.packet import ACK, DATA, Packet, PacketPool, SoAPacketPool
+from repro.sim.packet import DATA, Packet
 from repro.sim.queues import Port
-from repro.sim.units import KIB, US
+from repro.sim.units import US
 from repro.workloads.alibaba_wan import ALIBABA_WAN_CDF
 from repro.workloads.generator import PoissonTraffic, TrafficConfig
 from repro.workloads.websearch import WEBSEARCH_CDF
@@ -241,20 +239,11 @@ class TestLinkCoalescing:
 # ----------------------------------------------------------------------
 
 
-def _mixed_traffic_summary(seed: int, poison: bool = False,
-                           soa: bool = False):
-    """A small two-DC Poisson run reduced to a canonical JSON summary.
-    ``poison`` / ``soa`` attach a poisoned free-list or struct-of-arrays
-    packet pool to every host."""
+def _mixed_traffic_summary(seed: int):
+    """A small two-DC Poisson run reduced to a canonical JSON summary."""
     sim = Simulator()
     params = SCALE.params()
     topo = build_multidc(sim, "uno", params, SCALE, seed=seed)
-    if poison:
-        for host in topo.all_hosts():
-            host.enable_packet_pool(poison=True)
-    if soa:
-        for host in topo.all_hosts():
-            host.pool = SoAPacketPool()
     traffic = PoissonTraffic(
         topo,
         TrafficConfig(
@@ -442,209 +431,9 @@ class TestBatchAdvance(_OnHotPath):
             queues_mod.BATCH_DRAIN = old
         assert batched == reference
 
-    def test_mixed_traffic_matches_reference_poison_pool(self):
-        # Poison pooling on top: a batch path holding a released alias
-        # (or releasing a committed packet early) trips the poison check
-        # instead of silently corrupting the run.
-        old = queues_mod.BATCH_DRAIN
-        try:
-            queues_mod.BATCH_DRAIN = True
-            batched = _mixed_traffic_summary(71, poison=True)
-            queues_mod.BATCH_DRAIN = False
-            reference = _mixed_traffic_summary(71, poison=True)
-        finally:
-            queues_mod.BATCH_DRAIN = old
-        assert batched == reference
-
-    @pytest.mark.skipif(packet_mod._np is None, reason="numpy unavailable")
-    def test_mixed_traffic_matches_reference_soa_pool(self):
-        # SoA packet views are not Packet instances: the compiled entries
-        # must defer them to the Python methods, with identical results.
-        old = queues_mod.BATCH_DRAIN
-        try:
-            queues_mod.BATCH_DRAIN = True
-            batched = _mixed_traffic_summary(71, soa=True)
-            queues_mod.BATCH_DRAIN = False
-            reference = _mixed_traffic_summary(71, soa=True)
-        finally:
-            queues_mod.BATCH_DRAIN = old
-        assert batched == reference
-        assert batched == _mixed_traffic_summary(71)
-
 
 class TestBatchAdvancePython(TestBatchAdvance):
     COMPILED = False
-
-
-# ----------------------------------------------------------------------
-# packet pooling
-# ----------------------------------------------------------------------
-
-
-class TestPacketPool:
-    def test_recycles_released_objects(self):
-        pool = PacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        again = pool.acquire(ACK, 1, src=3, dst=2, seq=0, size=64)
-        assert again is pkt
-        assert again.kind == ACK and again.ecn is False and again.retx == 0
-        assert pool.stats()["recycled"] == 1
-
-    def test_double_release_raises(self):
-        pool = PacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        with pytest.raises(RuntimeError, match="double release"):
-            pool.release(pkt)
-
-    def test_poison_catches_write_after_release(self):
-        pool = PacketPool(poison=True)
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        pkt.seq = 7  # stale alias writes through
-        with pytest.raises(RuntimeError, match="written after release"):
-            pool.acquire(DATA, 1, src=2, dst=3, seq=1, size=100)
-
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.setattr(packet_mod, "_POOL_MODE", "")
-        assert packet_mod.default_pool() is None
-        monkeypatch.setattr(packet_mod, "_POOL_MODE", "1")
-        pool = packet_mod.default_pool()
-        assert isinstance(pool, PacketPool) and not pool.poison
-        monkeypatch.setattr(packet_mod, "_POOL_MODE", "poison")
-        assert packet_mod.default_pool().poison
-        if packet_mod._np is not None:
-            monkeypatch.setattr(packet_mod, "_POOL_MODE", "soa")
-            assert isinstance(packet_mod.default_pool(), SoAPacketPool)
-
-    def test_end_to_end_poison_run_recycles(self):
-        """A full dumbbell transfer under poison pooling: completes, and
-        actually recycles packets (the release rules do fire)."""
-        from repro.topology.simple import dumbbell
-        from repro.transport.dctcp import DCTCP
-        from repro.transport.base import start_flow
-
-        sim = Simulator()
-        topo = dumbbell(sim, n_pairs=2, gbps=25.0, prop_ps=1 * US,
-                        queue_bytes=256 * KIB, seed=3)
-        hosts = list(topo.senders) + list(topo.receivers)
-        for host in hosts:
-            host.enable_packet_pool(poison=True)
-        senders = [
-            start_flow(sim, topo.net, DCTCP(), s, r, 256 * KIB,
-                       base_rtt_ps=8 * US, seed=i)
-            for i, (s, r) in enumerate(zip(topo.senders, topo.receivers))
-        ]
-        sim.run()
-        assert all(s.done for s in senders)
-        assert sum(h.pool.recycled for h in hosts) > 0
-
-    def test_pooled_results_match_unpooled(self):
-        """Pooling must not change simulation results, only allocation."""
-        from repro.topology.simple import dumbbell
-        from repro.transport.dctcp import DCTCP
-        from repro.transport.base import start_flow
-
-        def fcts(pooled: bool):
-            sim = Simulator()
-            topo = dumbbell(sim, n_pairs=2, gbps=25.0, prop_ps=1 * US,
-                            queue_bytes=256 * KIB, seed=3)
-            for host in list(topo.senders) + list(topo.receivers):
-                host.pool = PacketPool(poison=True) if pooled else None
-            senders = [
-                start_flow(sim, topo.net, DCTCP(), s, r, 256 * KIB,
-                           base_rtt_ps=8 * US, seed=i)
-                for i, (s, r) in enumerate(
-                    zip(topo.senders, topo.receivers))
-            ]
-            sim.run()
-            return [(s.stats.fct_ps, s.stats.retransmissions)
-                    for s in senders]
-
-        assert fcts(pooled=True) == fcts(pooled=False)
-
-
-# ----------------------------------------------------------------------
-# struct-of-arrays packet backend
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.skipif(packet_mod._np is None, reason="numpy unavailable")
-class TestSoAPacketPool:
-    def test_view_round_trips_every_field(self):
-        pool = SoAPacketPool(capacity=2)
-        pkt = pool.acquire(DATA, 7, src=1, dst=2, seq=3, size=1500,
-                           sport=4, dport=5, payload=1400)
-        assert (pkt.kind, pkt.flow_id, pkt.src, pkt.dst, pkt.sport,
-                pkt.dport, pkt.seq, pkt.size, pkt.payload) == (
-            DATA, 7, 1, 2, 4, 5, 3, 1500, 1400)
-        assert pkt.block_id is None and pkt.nack_block is None
-        pkt.ecn = True
-        pkt.hops += 2
-        pkt.block_id = 9
-        pkt.int_util = 0.5
-        assert pkt.ecn is True and pkt.hops == 2 and pkt.block_id == 9
-        # Native Python scalars only: a leaked numpy int64 overflows the
-        # 64-bit masking in the ECMP hash.
-        assert type(pkt.seq) is int and type(pkt.ecn) is bool
-        assert type(pkt.int_util) is float
-
-    def test_store_growth_keeps_views_valid(self):
-        pool = SoAPacketPool(capacity=2)
-        pkts = [pool.acquire(DATA, i, src=0, dst=1, seq=i, size=100)
-                for i in range(20)]
-        assert pool.store.capacity >= 20
-        assert [p.flow_id for p in pkts] == list(range(20))
-
-    def test_release_recycles_row_and_view(self):
-        pool = SoAPacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pkt.ecn = True
-        pkt.block_id = 4
-        pool.release(pkt)
-        again = pool.acquire(ACK, 1, src=3, dst=2, seq=0, size=64)
-        assert again is pkt  # wrapper AND row recycled
-        assert again.kind == ACK and again.ecn is False
-        assert again.block_id is None
-        assert pool.stats()["recycled"] == 1
-
-    def test_double_release_raises(self):
-        pool = SoAPacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        with pytest.raises(RuntimeError, match="double release"):
-            pool.release(pkt)
-
-    def test_release_ignores_plain_control_packets(self):
-        from repro.sim.packet import make_cnp
-
-        pool = SoAPacketPool()
-        pool.release(make_cnp(1, 2, 3))  # no row to reclaim: dropped
-        assert pool.stats()["released"] == 0
-
-    def test_pooled_results_match_unpooled(self):
-        from repro.topology.simple import dumbbell
-        from repro.transport.dctcp import DCTCP
-        from repro.transport.base import start_flow
-
-        def fcts(pooled: bool):
-            sim = Simulator()
-            topo = dumbbell(sim, n_pairs=2, gbps=25.0, prop_ps=1 * US,
-                            queue_bytes=256 * KIB, seed=3)
-            for host in list(topo.senders) + list(topo.receivers):
-                host.pool = SoAPacketPool() if pooled else None
-            senders = [
-                start_flow(sim, topo.net, DCTCP(), s, r, 256 * KIB,
-                           base_rtt_ps=8 * US, seed=i)
-                for i, (s, r) in enumerate(
-                    zip(topo.senders, topo.receivers))
-            ]
-            sim.run()
-            return [(s.stats.fct_ps, s.stats.retransmissions)
-                    for s in senders]
-
-        assert fcts(pooled=True) == fcts(pooled=False)
 
 
 # ----------------------------------------------------------------------
@@ -678,15 +467,3 @@ class TestLazyMetrics:
             with pytest.raises(ValueError, match="already registered"):
                 sim.obs.metrics.snapshot()
 
-
-# ----------------------------------------------------------------------
-# host pool default
-# ----------------------------------------------------------------------
-
-
-class TestHostPool:
-    def test_enable_packet_pool(self):
-        sim = Simulator()
-        host = Host(sim, 0, "h0")
-        pool = host.enable_packet_pool(poison=True)
-        assert host.pool is pool and pool.poison

@@ -10,7 +10,7 @@ Usage (from the repo root)::
         --check-baseline benchmarks/perf/baseline.json      # CI gate
 
 Each scenario writes one ``BENCH_<name>.json`` in ``--out`` (default:
-the repo root) recording events/sec, packets/sec and peak RSS — the
+the repo root) recording events/sec and packets/sec — the
 repo's performance trajectory, one file per scenario per tree state.
 With ``--repeat N`` every run's min/median/max rate is reported and the
 **median** run is the one written to ``BENCH_<name>.json``: on a noisy
@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
-import resource
 import sys
 import time
 from pathlib import Path
@@ -43,18 +41,6 @@ sys.path.insert(0, str(REPO_ROOT))          # benchmarks package
 sys.path.insert(0, str(REPO_ROOT / "src"))  # repro package
 
 from benchmarks.perf import scenarios as S  # noqa: E402
-
-# Recorded per run and used for per-mode baseline floors: the SoA packet
-# backend trades per-field access cost for columnar storage, so its
-# events/sec floor differs from the pool-off one.
-POOL_MODE = os.environ.get("REPRO_PACKET_POOL", "").strip().lower() or "off"
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes (Linux: KiB)."""
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return rss * 1024 if platform.system() == "Linux" else rss
-
 
 def _rate(rec: dict) -> float:
     """The scenario's headline rate: builds/s for topology-construction
@@ -72,7 +58,6 @@ def run_scenario(name: str, fn, quick: bool, seed: int,
         quick=quick,
         seed=seed,
         repeat=repeat,
-        pool_mode=POOL_MODE,
         python=platform.python_version(),
         machine=platform.machine(),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -80,7 +65,7 @@ def run_scenario(name: str, fn, quick: bool, seed: int,
     runs = []
     for rep in range(repeat):
         rec = fn(quick, seed)
-        rec.update(meta, rep=rep, peak_rss_bytes=peak_rss_bytes())
+        rec.update(meta, rep=rep)
         runs.append(rec)
     by_rate = sorted(runs, key=_rate)
     # Lower median: an actual run's record (its internal fields stay
@@ -101,14 +86,12 @@ def check_baseline(results: list[dict], baseline_path: Path,
     failures = 0
     for rec in results:
         name = rec["name"]
-        # A mode-specific floor ("fattree_perm@soa") outranks the plain
-        # one: pool backends have different expected rates.
-        base = baseline.get(f"{name}@{POOL_MODE}") or baseline.get(name)
+        base = baseline.get(name)
         if not base or name not in S.CORE_SCENARIOS:
             continue
         floor = base["events_per_sec"] * (1.0 - tolerance)
         status = "ok" if rec["events_per_sec"] >= floor else "REGRESSED"
-        print(f"  baseline {name} [{POOL_MODE}]: "
+        print(f"  baseline {name}: "
               f"{rec['events_per_sec']:,.0f} ev/s vs "
               f"floor {floor:,.0f} ev/s ({base['events_per_sec']:,.0f} "
               f"- {tolerance:.0%}) -> {status}")
@@ -124,7 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("--only", default=None,
                         help="comma-separated scenario names")
     parser.add_argument("--repeat", type=int, default=1,
-                        help="runs per scenario; best is kept")
+                        help="runs per scenario; the median-rate run is kept")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default=str(REPO_ROOT),
                         help="directory for BENCH_<name>.json files")
@@ -165,8 +148,7 @@ def main(argv=None) -> int:
                   f"{unit}")
         if not rec.get("builds_per_sec"):
             spread += f", {rec['packets_per_sec']:,.0f} pkt/s @ median"
-        print(f"  {spread}  wall={rec['wall_s']:.3f}s  "
-              f"rss={rec['peak_rss_bytes'] / 2**20:.0f}MiB  -> {path}")
+        print(f"  {spread}  wall={rec['wall_s']:.3f}s  -> {path}")
 
     if args.check_baseline:
         failures = check_baseline(results, Path(args.check_baseline),
