@@ -66,6 +66,16 @@ class UnoCCConfig:
 
 class UnoCC(CongestionControl):
     """The paper's Algorithm 1 congestion controller (see module docstring)."""
+
+    # Slotted so the compiled hot path (repro.sim.fastpath) reads and
+    # writes these fields at fixed member offsets.
+    __slots__ = (
+        "config", "ecn_ewma", "md_scale", "_tracker", "_alpha_bytes",
+        "_delay_thresh_ps", "_qa_handle", "_qa_bytes_start", "_qa_started",
+        "_skip_until_ps", "_slow_start", "_max_cwnd", "qa_triggers",
+        "md_events", "gentle_md_events",
+    )
+
     def __init__(self, config: UnoCCConfig):
         self.config = config
         self.ecn_ewma = 0.0        # E in the paper

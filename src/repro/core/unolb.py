@@ -27,6 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class UnoLB(PathSelector):
     """Subflow round-robin path selection with adaptive reroute (Algorithm 2)."""
+
+    # Slotted so the compiled hot path (repro.sim.fastpath) reads and
+    # writes these fields at fixed member offsets.
+    __slots__ = ("n_subflows", "reroute_min_gap_ps", "entropies", "_index",
+                 "_last_ack_ps", "_last_reroute_ps", "reroutes")
+
     def __init__(self, n_subflows: int = 10, reroute_min_gap_ps: int = 0):
         if n_subflows < 1:
             raise ValueError("need at least one subflow")

@@ -27,8 +27,9 @@ distinct positions decode — the MDS property).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.coding.block import BlockConfig
 from repro.sim.engine import EventHandle, Simulator
@@ -70,7 +71,7 @@ class UnoRCSender(Sender):
         self._block_data_acked: Dict[int, int] = {}
         self._block_complete: Set[int] = set()
         self._blocks_completed = 0
-        self._parity_queue: List[int] = []
+        self._parity_queue: deque[int] = deque()
         self._parity_enqueued: Set[int] = set()
 
     # -- sequence layout ---------------------------------------------------
@@ -120,7 +121,7 @@ class UnoRCSender(Sender):
         return self._parity_queue[0] if self._parity_queue else None
 
     def _pop_parity(self) -> int:
-        return self._parity_queue.pop(0)
+        return self._parity_queue.popleft()
 
     # -- block completion ------------------------------------------------------
 

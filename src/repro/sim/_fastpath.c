@@ -1,8 +1,9 @@
 /*
- * Compiled per-packet fabric hot path (CPython C API, CPython headers only).
+ * Compiled per-packet hot path (CPython C API, CPython headers only).
  *
  * Implements, bit-identically to the pure-Python reference in engine.py,
- * link.py, switch.py and queues.py:
+ * link.py, switch.py, queues.py, host.py, transport/base.py,
+ * core/unocc.py and core/unolb.py:
  *
  *   run()            the lean Simulator.run event loop;
  *   Link._drain      delivery drain, including the settle of the feeding
@@ -11,15 +12,38 @@
  *                    forwarding case;
  *   Port.enqueue     the batch-advance fast path: settle, tail drop, RED,
  *                    inlined phantom marking, ser-time memo, commit to the
- *                    link's in-flight deque, arming the link drain.
+ *                    link's in-flight deque, arming the link drain;
+ *   Host.receive     dispatch of DATA/ACK to the flow's endpoint;
+ *   Receiver.on_packet
+ *                    DATA -> handle_data -> send_ack -> make_ack ->
+ *                    Host.send -> Port.enqueue;
+ *   Sender.on_packet / _on_ack
+ *                    a new in-order-or-not ACK, with UnoCC.on_ack
+ *                    (EpochTracker.on_ack inlined) and UnoLB.on_ack;
+ *   Sender._maybe_send / _emit / _pace_wakeup
+ *                    new-data sends with pacing, UnoLB / FixedEntropy
+ *                    path entropy and Host.send;
+ *   UnoCC.on_ack     the same congestion-control step on its own.
  *
  * State is read and written at the ``__slots__`` member offsets resolved
  * once by bind() from the classes' member descriptors. Every entry checks
- * exact types (Port, Switch, Link, Packet, EventHandle, PhantomQueue) and
- * the few conditions it handles *before* it changes any state; anything
- * else calls the reference Python method it replaces (its ``fallback``).
- * One C entry calls another directly only while the class attribute is
- * still that entry, so class-level wrappers (tracers) see every call.
+ * exact types (Port, Switch, Link, Packet, EventHandle, PhantomQueue,
+ * Host, Sender, Receiver, UnoCC, EpochTracker, UnoLB, FixedEntropy,
+ * SenderStats, and an exact Simulator with telemetry off) and the few
+ * conditions it handles *before* it changes any state; anything else
+ * calls the reference Python method it replaces (its ``fallback``). The
+ * transport entries hand UnoRC endpoints, control ACKs, NACK/CNP/PAUSE,
+ * duplicate ACKs, retransmissions, the first ACK of a flow (it starts
+ * Quick Adapt) and a receiver's first DATA packet (it arms the idle
+ * timer) to the reference path; an epoch close and a possible flow
+ * completion call the reference ``UnoCC._on_epoch`` and
+ * ``Sender._check_done``. One C entry calls another directly only while
+ * the class attribute is still that entry, so class-level wrappers
+ * (tracers) see every call.
+ *
+ * Float arithmetic must round exactly as Python's does: the loader
+ * compiles with -ffp-contract=off so that ``x += g * (y - x)`` is never
+ * fused into one FMA.
  *
  * The loader, repro/sim/fastpath.py, builds this file and installs the
  * entries as class attributes; see DESIGN.md "Performance".
@@ -33,18 +57,26 @@
 #endif
 #include <math.h>
 
+#ifdef __clang__
+#pragma STDC FP_CONTRACT OFF
+#endif
+
 #define SLOT(o, off) (*(PyObject **)((char *)(o) + (off)))
 
 /* -- bound classes and member offsets ----------------------------------- */
 
 static PyTypeObject *SimType, *HandleType, *PortType, *LinkType,
-    *SwitchType, *PacketType, *PhantomType, *DequeType;
+    *SwitchType, *PacketType, *PhantomType, *DequeType, *HostType,
+    *SenderType, *ReceiverType, *StatsType, *UnoCCType, *TrackerType,
+    *UnoLBType, *FixedType;
+static PyObject *SummaryType;     /* EpochSummary, called on epoch close */
+static long long header_bytes, ack_size;  /* HEADER_BYTES, ACK_SIZE */
 static PyObject *switch_globals;  /* repro.sim.switch namespace (flow_hash) */
 static PyCFunction dq_append, dq_popleft;
 static int bound;
 
-static struct { Py_ssize_t now, heap, seq, n_executed, n_cancelled; } S;
-static struct { Py_ssize_t time, fn, args, cancelled, fired; } H;
+static struct { Py_ssize_t now, heap, seq, n_executed, n_cancelled, obs; } S;
+static struct { Py_ssize_t time, fn, args, cancelled, fired, sim; } H;
 static struct {
     Py_ssize_t sim, link, events, monitor, pfc, batch, fifo, sched,
         bytes_queued, tx_bytes, capacity_bytes, drops, red_min_th,
@@ -60,21 +92,66 @@ static struct {
     Py_ssize_t up, qcn, nexthops, rx_pkts, mode, hash_cache, salt,
         multipath_pkts;
 } W;
-static struct { Py_ssize_t kind, src, dst, sport, dport, size, ecn, hops; } K;
+static struct {
+    Py_ssize_t kind, flow_id, src, dst, sport, dport, seq, size, payload,
+        ecn, sent_ps, echo_sent_ps, ecn_echo, block_id, block_pos,
+        nack_block, retx, hops, int_util;
+} K;
+static struct {
+    Py_ssize_t node_id, up, endpoints, rx_pkts, orphan_pkts, uplink;
+} O;
+static struct {
+    Py_ssize_t sim, flow_id, src, dst, size_bytes, cc, mss, base_rtt_ps,
+        line_gbps, path, total_data_pkts, next_seq, outstanding,
+        inflight_bytes, acked_seqs, retx_queue, lost_seqs, cwnd,
+        pacing_rate_gbps, min_rtt_ps, srtt_ps, rttvar_ps, next_pace_ps,
+        pace_handle, rto_backoff, consecutive_timeouts, aborted, stats,
+        done, obs, events, spans, counters;
+} D;
+static struct {
+    Py_ssize_t sim, host, spans, rx_data_pkts, idle_timeout_ps, last_rx_ps,
+        idle_handle;
+} R;
+static struct {
+    Py_ssize_t bytes_acked, data_pkts_sent, parity_pkts_sent, first_send_ps;
+} T;
+static struct {
+    Py_ssize_t config, tracker, alpha_bytes, qa_started, slow_start,
+        max_cwnd;
+} C;
+static struct {
+    Py_ssize_t period_ps, t_epoch, total, marked, max_rel_delay,
+        epochs_closed;
+} E;
+static struct { Py_ssize_t entropies, index, last_ack_ps, n_subflows; } B;
+static struct { Py_ssize_t value; } F;
 
 typedef struct { Py_ssize_t *dst; const char *name; } OffsetSpec;
 
-static PyObject *s_receive, *s_random, *s_at_seq, *s__drain, *s_flow_hash;
+static PyObject *s_receive, *s_random, *s_at_seq, *s__drain, *s_flow_hash,
+    *s_on_packet, *s__on_ack, *s__maybe_send, *s__emit, *s_on_ack,
+    *s__pace_wakeup, *s_send, *s__on_epoch, *s__check_done, *s_use_pacing;
+static PyObject *int_zero, *int_one, *float_zero, *empty_tuple;
 
+#define DATA_KIND 0
+#define ACK_KIND 1
 #define CNP_KIND 3
 #define HASH_CACHE_MAX 65536
 
 /* -- the entry descriptor ------------------------------------------------ */
 
-enum { ENTRY_ENQUEUE, ENTRY_DRAIN, ENTRY_SWITCH, N_ENTRIES };
+enum {
+    ENTRY_ENQUEUE, ENTRY_DRAIN, ENTRY_SWITCH, ENTRY_HOST, ENTRY_RECEIVER,
+    ENTRY_SENDER, ENTRY_ON_ACK, ENTRY_MAYBE_SEND, ENTRY_EMIT, ENTRY_PACE,
+    ENTRY_UNOCC, N_ENTRIES
+};
 static const char *const entry_names[N_ENTRIES] = {
-    "enqueue", "drain", "switch_receive"};
-static const Py_ssize_t entry_nargs[N_ENTRIES] = {2, 1, 2};
+    "enqueue", "drain", "switch_receive", "host_receive",
+    "receiver_on_packet", "sender_on_packet", "sender_on_ack",
+    "maybe_send", "emit", "pace_wakeup", "unocc_on_ack"};
+static const Py_ssize_t entry_nargs[N_ENTRIES] = {2, 1, 2, 2, 2, 2, 2, 1,
+                                                  2, 1, 5};
+#define MAX_NARGS 5
 
 /* A method-like descriptor: binds like a function, is called through
  * vectorcall, and reports the reference method's name and qualname so
@@ -88,13 +165,22 @@ typedef struct {
 
 static PyTypeObject FastMethodType;
 static FastMethod *entries[N_ENTRIES];
-/* Type version tags under which the class attribute was last seen to be
- * the C entry (0 = unknown); see attr_is_entry(). */
-static unsigned int port_receive_tag, switch_receive_tag;
+/* Per entry, the type version tag under which the one class attribute
+ * the C code checks for it was last seen to be the entry (0 = unknown);
+ * see attr_is(). */
+static unsigned int entry_tags[N_ENTRIES];
 
 static PyObject *port_enqueue(PyObject *port, PyObject *pkt);
 static PyObject *link_drain(PyObject *link);
 static PyObject *switch_receive(PyObject *sw, PyObject *pkt);
+static PyObject *host_receive(PyObject *host, PyObject *pkt);
+static PyObject *receiver_on_packet(PyObject *rcv, PyObject *pkt);
+static PyObject *sender_on_packet(PyObject *s, PyObject *pkt);
+static PyObject *sender_on_ack(PyObject *s, PyObject *pkt);
+static PyObject *sender_maybe_send(PyObject *s);
+static PyObject *sender_emit(PyObject *s, PyObject *seq_o);
+static PyObject *sender_pace_wakeup(PyObject *s);
+static PyObject *unocc_on_ack(PyObject *const *args);
 
 /* -- small helpers -------------------------------------------------------- */
 
@@ -254,14 +340,16 @@ dq_push(PyObject *dq, PyObject *item)
     return 0;
 }
 
-/* True while ``tp.<name>`` is still ``entry``. The answer is cached under
- * the type's version tag, which CPython invalidates on every class
- * attribute assignment, so a freshly installed wrapper is seen at once. */
+/* True while ``tp.<name>`` is still the entry ``which``. The answer is
+ * cached under the type's version tag, which CPython invalidates on every
+ * class attribute assignment, so a freshly installed wrapper is seen at
+ * once. */
 static inline int
-attr_is_entry(PyTypeObject *tp, PyObject *name, FastMethod *entry,
-              unsigned int *tag)
+attr_is(PyTypeObject *tp, PyObject *name, int which)
 {
     PyObject *v;
+    FastMethod *entry = entries[which];
+    unsigned int *tag = &entry_tags[which];
     if (entry == NULL)
         return 0;
 #ifdef Py_TPFLAGS_VALID_VERSION_TAG
@@ -485,17 +573,38 @@ settle(PyObject *port, PyObject *sim, long long now, long long *bq_out)
 }
 
 static PyObject *
-call_fallback(int which, PyObject *a, PyObject *b)
+call_fallback(int which, PyObject *const *args)
 {
-    PyObject *args[3] = {NULL, a, b};
     FastMethod *fm = entries[which];
     if (fm == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "fastpath entry not created");
         return NULL;
     }
-    return PyObject_Vectorcall(fm->fallback, args + 1,
-                               entry_nargs[which]
-                               | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    return PyObject_Vectorcall(fm->fallback, args, entry_nargs[which], NULL);
+}
+
+static inline PyObject *
+fallback1(int which, PyObject *a)
+{
+    PyObject *args[1] = {a};
+    return call_fallback(which, args);
+}
+
+static inline PyObject *
+fallback2(int which, PyObject *a, PyObject *b)
+{
+    PyObject *args[2] = {a, b};
+    return call_fallback(which, args);
+}
+
+/* ``self.<name>(a, b)`` with a and b optional (NULL): new reference. */
+static inline PyObject *
+call_method(PyObject *name, PyObject *self, PyObject *a, PyObject *b)
+{
+    PyObject *args[4] = {NULL, self, a, b};
+    size_t n = 1 + (a != NULL) + (a != NULL && b != NULL);
+    return PyObject_VectorcallMethod(name, args + 1,
+                                     n | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
 }
 
 /* ``obj.receive(pkt)`` */
@@ -759,7 +868,7 @@ port_enqueue(PyObject *port, PyObject *pkt)
     Py_RETURN_TRUE;
 
 fallback:
-    return call_fallback(ENTRY_ENQUEUE, port, pkt);
+    return fallback2(ENTRY_ENQUEUE, port, pkt);
 }
 
 /* -- Switch.receive --------------------------------------------------------- */
@@ -768,8 +877,7 @@ static inline PyObject *
 port_receive(PyObject *port, PyObject *pkt)
 {
     if (Py_IS_TYPE(port, PortType)
-            && attr_is_entry(PortType, s_receive, entries[ENTRY_ENQUEUE],
-                             &port_receive_tag))
+            && attr_is(PortType, s_receive, ENTRY_ENQUEUE))
         return port_enqueue(port, pkt);
     return call_receive(port, pkt);
 }
@@ -888,7 +996,7 @@ error:
     return NULL;
 
 fallback:
-    return call_fallback(ENTRY_SWITCH, sw, pkt);
+    return fallback2(ENTRY_SWITCH, sw, pkt);
 }
 
 /* -- Link._drain ------------------------------------------------------------- */
@@ -897,9 +1005,11 @@ static inline PyObject *
 sink_receive(PyObject *sink, PyObject *pkt)
 {
     if (Py_IS_TYPE(sink, SwitchType)
-            && attr_is_entry(SwitchType, s_receive, entries[ENTRY_SWITCH],
-                             &switch_receive_tag))
+            && attr_is(SwitchType, s_receive, ENTRY_SWITCH))
         return switch_receive(sink, pkt);
+    if (Py_IS_TYPE(sink, HostType)
+            && attr_is(HostType, s_receive, ENTRY_HOST))
+        return host_receive(sink, pkt);
     return call_receive(sink, pkt);
 }
 
@@ -1001,7 +1111,944 @@ error:
     return NULL;
 
 fallback:
-    return call_fallback(ENTRY_DRAIN, link, NULL);
+    return fallback1(ENTRY_DRAIN, link);
+}
+
+/* -- transport: shared helpers -------------------------------------------- */
+
+/* Values the reference mixes with floats stay below 2**52, where the
+ * int -> double conversion is exact. */
+#define EXACT_LIMIT (1LL << 52)
+
+static inline int
+slot_float(PyObject *o, Py_ssize_t off, double *out)
+{
+    PyObject *v = SLOT(o, off);
+    if (v == NULL || !PyFloat_CheckExact(v))
+        return 0;
+    *out = PyFloat_AS_DOUBLE(v);
+    return 1;
+}
+
+static inline int
+slot_set_f64(PyObject *o, Py_ssize_t off, double v)
+{
+    PyObject *n = PyFloat_FromDouble(v);
+    if (n == NULL)
+        return -1;
+    slot_steal(o, off, n);
+    return 0;
+}
+
+static inline int
+is_bool(PyObject *v)
+{
+    return v == Py_True || v == Py_False;
+}
+
+/* ``sim`` when it is exactly a Simulator with telemetry off, else NULL. */
+static inline PyObject *
+plain_sim(PyObject *sim)
+{
+    if (sim != NULL && Py_IS_TYPE(sim, SimType)
+            && SLOT(sim, S.obs) == Py_None)
+        return sim;
+    return NULL;
+}
+
+/* An exact Sender on a plain simulator with every telemetry handle off. */
+static inline int
+plain_sender(PyObject *s)
+{
+    return Py_IS_TYPE(s, SenderType) && plain_sim(SLOT(s, D.sim)) != NULL
+        && SLOT(s, D.obs) == Py_None && SLOT(s, D.events) == Py_None
+        && SLOT(s, D.spans) == Py_None && SLOT(s, D.counters) == Py_None;
+}
+
+/* The sender's packetization: total_data_pkts, size_bytes, mss. */
+static inline int
+sender_sizes(PyObject *s, long long *total, long long *size, long long *mss)
+{
+    return slot_i64(s, D.total_data_pkts, total)
+        && slot_i64(s, D.size_bytes, size) && slot_i64(s, D.mss, mss)
+        && *mss > 0 && *mss < (1LL << 31) && *size >= 0
+        && *size < EXACT_LIMIT && *total >= 0 && *total < EXACT_LIMIT;
+}
+
+/* Sender.payload_of, for the guarded sizes above. */
+static inline long long
+payload_of(long long seq, long long total, long long size, long long mss)
+{
+    if (seq >= total)
+        return mss;
+    if (seq == total - 1) {
+        long long rem = size - seq * mss;
+        return rem > 0 ? rem : mss;
+    }
+    return mss;
+}
+
+/* pacing_rate_gbps: 0 when off (None or 0.0), 1 with a positive rate in
+ * *gbps, -1 for anything else (the reference decides). */
+static inline int
+pace_rate(PyObject *s, double *gbps)
+{
+    PyObject *v = SLOT(s, D.pacing_rate_gbps);
+    if (v == Py_None)
+        return 0;
+    if (v == NULL || !PyFloat_CheckExact(v))
+        return -1;
+    *gbps = PyFloat_AS_DOUBLE(v);
+    if (*gbps == 0.0)
+        return 0;
+    return *gbps > 0.0 ? 1 : -1;
+}
+
+/* Packet(kind, flow_id, src, dst, seq, size, sport, dport, payload):
+ * every slot set as Packet.__init__ sets it. */
+static PyObject *
+new_packet(long long kind, PyObject *flow_id, PyObject *src, PyObject *dst,
+           PyObject *seq, long long size, PyObject *sport, PyObject *dport,
+           PyObject *payload)
+{
+    PyObject *p, *kind_o, *size_o;
+    kind_o = PyLong_FromLongLong(kind);
+    size_o = PyLong_FromLongLong(size);
+    if (kind_o == NULL || size_o == NULL) {
+        Py_XDECREF(kind_o);
+        Py_XDECREF(size_o);
+        return NULL;
+    }
+    p = PacketType->tp_alloc(PacketType, 0);
+    if (p == NULL) {
+        Py_DECREF(kind_o);
+        Py_DECREF(size_o);
+        return NULL;
+    }
+    slot_steal(p, K.kind, kind_o);
+    slot_set(p, K.flow_id, flow_id);
+    slot_set(p, K.src, src);
+    slot_set(p, K.dst, dst);
+    slot_set(p, K.sport, sport);
+    slot_set(p, K.dport, dport);
+    slot_set(p, K.seq, seq);
+    slot_steal(p, K.size, size_o);
+    slot_set(p, K.payload, payload);
+    slot_set(p, K.ecn, Py_False);
+    slot_set(p, K.sent_ps, int_zero);
+    slot_set(p, K.echo_sent_ps, int_zero);
+    slot_set(p, K.ecn_echo, Py_False);
+    slot_set(p, K.block_id, Py_None);
+    slot_set(p, K.block_pos, int_zero);
+    slot_set(p, K.nack_block, Py_None);
+    slot_set(p, K.retx, int_zero);
+    slot_set(p, K.hops, int_zero);
+    slot_set(p, K.int_util, float_zero);
+    return p;
+}
+
+/* ``sim.at(t, fn)`` for t >= now: a new EventHandle, pushed with the next
+ * tie-break seq exactly as Simulator.at does. New reference. */
+static PyObject *
+sim_at(PyObject *sim, PyObject *t, PyObject *fn)
+{
+    PyObject *heap = SLOT(sim, S.heap), *h, *seq_o, *entry;
+    long long seq;
+    int rc;
+    if (heap == NULL || !PyList_CheckExact(heap)
+            || !slot_i64(sim, S.seq, &seq)) {
+        PyErr_SetString(PyExc_TypeError, "malformed Simulator");
+        return NULL;
+    }
+    h = HandleType->tp_alloc(HandleType, 0);
+    if (h == NULL)
+        return NULL;
+    slot_set(h, H.time, t);
+    slot_set(h, H.fn, fn);
+    slot_set(h, H.args, empty_tuple);
+    slot_set(h, H.cancelled, Py_False);
+    slot_set(h, H.fired, Py_False);
+    slot_set(h, H.sim, sim);
+    seq_o = PyLong_FromLongLong(seq + 1);
+    if (seq_o == NULL) {
+        Py_DECREF(h);
+        return NULL;
+    }
+    slot_set(sim, S.seq, seq_o);
+    entry = PyTuple_Pack(3, t, seq_o, h);
+    Py_DECREF(seq_o);
+    if (entry == NULL) {
+        Py_DECREF(h);
+        return NULL;
+    }
+    Py_INCREF(heap);
+    rc = heap_push(heap, entry);
+    Py_DECREF(heap);
+    Py_DECREF(entry);
+    if (rc) {
+        Py_DECREF(h);
+        return NULL;
+    }
+    return h;
+}
+
+/* ``host.send(pkt)``: an exact Host with a cached uplink offers the packet
+ * to the port directly (Host.send); anything else goes through Python. */
+static PyObject *
+host_send(PyObject *host, PyObject *pkt)
+{
+    if (Py_IS_TYPE(host, HostType)) {
+        PyObject *up = SLOT(host, O.uplink);
+        if (up != NULL && up != Py_None)
+            return port_receive(up, pkt);
+    }
+    return call_method(s_send, host, pkt, NULL);
+}
+
+/* Drop a call's result, keeping its error. */
+static inline int
+done_with(PyObject *r)
+{
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* -- Host.receive --------------------------------------------------------- */
+
+static PyObject *
+host_receive(PyObject *host, PyObject *pkt)
+{
+    PyObject *eps, *ep, *flow, *r;
+    long long kind;
+
+    if (!Py_IS_TYPE(host, HostType) || !Py_IS_TYPE(pkt, PacketType)
+            || SLOT(host, O.up) != Py_True
+            || !slot_i64(pkt, K.kind, &kind) || kind > CNP_KIND
+            || (eps = SLOT(host, O.endpoints)) == NULL
+            || !PyDict_CheckExact(eps)
+            || SLOT(host, O.rx_pkts) == NULL
+            || SLOT(host, O.orphan_pkts) == NULL
+            || (flow = SLOT(pkt, K.flow_id)) == NULL)
+        goto fallback;
+    if (slot_add(host, O.rx_pkts, 1))
+        return NULL;
+    ep = PyDict_GetItemWithError(eps, flow);
+    if (ep == NULL) {
+        if (PyErr_Occurred() || slot_add(host, O.orphan_pkts, 1))
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    Py_INCREF(ep);
+    if (Py_IS_TYPE(ep, SenderType)
+            && attr_is(SenderType, s_on_packet, ENTRY_SENDER))
+        r = sender_on_packet(ep, pkt);
+    else if (Py_IS_TYPE(ep, ReceiverType)
+             && attr_is(ReceiverType, s_on_packet, ENTRY_RECEIVER))
+        r = receiver_on_packet(ep, pkt);
+    else
+        r = call_method(s_on_packet, ep, pkt, NULL);
+    Py_DECREF(ep);
+    if (done_with(r))
+        return NULL;
+    Py_RETURN_NONE;
+
+fallback:
+    return fallback2(ENTRY_HOST, host, pkt);
+}
+
+/* -- Receiver.on_packet --------------------------------------------------- */
+
+/* make_ack(d, now): the ACK for DATA packet ``d``. */
+static PyObject *
+make_ack(PyObject *d, PyObject *now_o)
+{
+    PyObject *ack = new_packet(ACK_KIND, SLOT(d, K.flow_id), SLOT(d, K.dst),
+                               SLOT(d, K.src), SLOT(d, K.seq), ack_size,
+                               SLOT(d, K.dport), SLOT(d, K.sport),
+                               SLOT(d, K.payload));
+    if (ack == NULL)
+        return NULL;
+    slot_set(ack, K.echo_sent_ps, SLOT(d, K.sent_ps));
+    slot_set(ack, K.ecn_echo, SLOT(d, K.ecn));
+    slot_set(ack, K.int_util, SLOT(d, K.int_util));
+    slot_set(ack, K.block_id, SLOT(d, K.block_id));
+    slot_set(ack, K.block_pos, SLOT(d, K.block_pos));
+    slot_set(ack, K.sent_ps, now_o);
+    return ack;
+}
+
+/* Every field make_ack reads is set. */
+static inline int
+ackable(PyObject *d)
+{
+    return SLOT(d, K.flow_id) && SLOT(d, K.dst) && SLOT(d, K.src)
+        && SLOT(d, K.seq) && SLOT(d, K.dport) && SLOT(d, K.sport)
+        && SLOT(d, K.payload) && SLOT(d, K.sent_ps) && SLOT(d, K.ecn)
+        && SLOT(d, K.int_util) && SLOT(d, K.block_id)
+        && SLOT(d, K.block_pos);
+}
+
+static PyObject *
+receiver_on_packet(PyObject *rcv, PyObject *pkt)
+{
+    PyObject *sim, *host, *idle, *now_o, *ack, *r;
+    long long kind;
+
+    if (!Py_IS_TYPE(rcv, ReceiverType) || !Py_IS_TYPE(pkt, PacketType)
+            || !slot_i64(pkt, K.kind, &kind))
+        goto fallback;
+    if (kind != DATA_KIND)
+        Py_RETURN_NONE;
+    sim = plain_sim(SLOT(rcv, R.sim));
+    idle = SLOT(rcv, R.idle_timeout_ps);
+    host = SLOT(rcv, R.host);
+    /* The first DATA packet arms the idle timer: reference path. */
+    if (sim == NULL || SLOT(rcv, R.spans) != Py_None || idle == NULL
+            || SLOT(rcv, R.idle_handle) == NULL
+            || (idle != Py_None && SLOT(rcv, R.idle_handle) == Py_None)
+            || SLOT(rcv, R.rx_data_pkts) == NULL || host == NULL
+            || (now_o = SLOT(sim, S.now)) == NULL || !ackable(pkt))
+        goto fallback;
+    if (slot_add(rcv, R.rx_data_pkts, 1))
+        return NULL;
+    slot_set(rcv, R.last_rx_ps, now_o);
+    ack = make_ack(pkt, now_o);
+    if (ack == NULL)
+        return NULL;
+    Py_INCREF(host);
+    r = host_send(host, ack);
+    Py_DECREF(host);
+    Py_DECREF(ack);
+    if (done_with(r))
+        return NULL;
+    Py_RETURN_NONE;
+
+fallback:
+    return fallback2(ENTRY_RECEIVER, rcv, pkt);
+}
+
+/* -- Sender._maybe_send / _emit / _pace_wakeup ---------------------------- */
+
+static PyObject *
+sender_emit(PyObject *s, PyObject *seq_o)
+{
+    PyObject *sim, *now_o, *outstanding, *src, *dst, *path, *stats,
+        *entropies = NULL, *payload_o, *pkt, *sport, *r;
+    long long seq, now, total, size, mss, flow, inflight, next_pace = 0,
+        plen, idx = 0, n = 0;
+    double pace = 0.0;
+    int c, paced;
+
+    if (!plain_sender(s) || !as_i64(seq_o, &seq))
+        goto fallback;
+    sim = SLOT(s, D.sim);
+    now_o = SLOT(sim, S.now);
+    outstanding = SLOT(s, D.outstanding);
+    src = SLOT(s, D.src);
+    dst = SLOT(s, D.dst);
+    path = SLOT(s, D.path);
+    stats = SLOT(s, D.stats);
+    if (now_o == NULL || !as_i64(now_o, &now)
+            || outstanding == NULL || !PyDict_CheckExact(outstanding)
+            || src == NULL || !Py_IS_TYPE(src, HostType)
+            || SLOT(src, O.node_id) == NULL
+            || dst == NULL || !Py_IS_TYPE(dst, HostType)
+            || SLOT(dst, O.node_id) == NULL
+            || stats == NULL || !Py_IS_TYPE(stats, StatsType)
+            || SLOT(stats, T.first_send_ps) == NULL
+            || SLOT(stats, T.data_pkts_sent) == NULL
+            || SLOT(stats, T.parity_pkts_sent) == NULL
+            || !sender_sizes(s, &total, &size, &mss)
+            || !slot_i64(s, D.flow_id, &flow)
+            || !slot_i64(s, D.inflight_bytes, &inflight)
+            || (paced = pace_rate(s, &pace)) < 0
+            || (paced && !slot_i64(s, D.next_pace_ps, &next_pace))
+            || path == NULL)
+        goto fallback;
+    if (Py_IS_TYPE(path, UnoLBType)) {
+        entropies = SLOT(path, B.entropies);
+        if (entropies == NULL || !PyList_CheckExact(entropies)
+                || !slot_i64(path, B.index, &idx)
+                || !slot_i64(path, B.n_subflows, &n) || n <= 0
+                || idx < 0 || idx >= PyList_GET_SIZE(entropies))
+            goto fallback;
+    }
+    else if (!Py_IS_TYPE(path, FixedType) || SLOT(path, F.value) == NULL)
+        goto fallback;
+    c = PyDict_Contains(outstanding, seq_o);
+    if (c < 0)
+        return NULL;
+    if (c)
+        goto fallback;  /* a retransmission */
+
+    plen = payload_of(seq, total, size, mss);
+    payload_o = PyLong_FromLongLong(plen);
+    if (payload_o == NULL)
+        return NULL;
+    pkt = new_packet(DATA_KIND, SLOT(s, D.flow_id), SLOT(src, O.node_id),
+                     SLOT(dst, O.node_id), seq_o, plen + header_bytes,
+                     int_zero, int_zero, payload_o);
+    Py_DECREF(payload_o);
+    if (pkt == NULL)
+        return NULL;
+    slot_set(pkt, K.sent_ps, now_o);
+    /* Sender._decorate is a no-op; UnoLB.entropy of a fresh packet is
+     * plain round robin. */
+    if (entropies != NULL) {
+        sport = PyList_GET_ITEM(entropies, idx);
+        Py_INCREF(sport);
+        if (slot_set_i64(path, B.index, (idx + 1) % n))
+            goto error_sport;
+    }
+    else {
+        sport = SLOT(path, F.value);
+        Py_INCREF(sport);
+    }
+    slot_steal(pkt, K.sport, sport);
+    if (slot_set_i64(pkt, K.dport, flow & 0xFFFF)
+            || slot_set_i64(s, D.inflight_bytes, inflight + plen)
+            || PyDict_SetItem(outstanding, seq_o, pkt))
+        goto error;
+    if (SLOT(stats, T.first_send_ps) == Py_None)
+        slot_set(stats, T.first_send_ps, now_o);
+    if (slot_add(stats, seq >= total ? T.parity_pkts_sent
+                                     : T.data_pkts_sent, 1))
+        goto error;
+    if (paced) {
+        /* ser_time_ps(pkt.size, pacing_rate_gbps) */
+        long long gap = (long long)py_round(
+            (double)((plen + header_bytes) * 8000) / pace);
+        if (gap < 1)
+            gap = 1;
+        if (slot_set_i64(s, D.next_pace_ps,
+                         (next_pace > now ? next_pace : now) + gap))
+            goto error;
+    }
+    Py_INCREF(src);
+    r = host_send(src, pkt);
+    Py_DECREF(src);
+    Py_DECREF(pkt);
+    if (done_with(r))
+        return NULL;
+    Py_RETURN_NONE;
+
+error_sport:
+    Py_DECREF(sport);
+error:
+    Py_DECREF(pkt);
+    return NULL;
+
+fallback:
+    return fallback2(ENTRY_EMIT, s, seq_o);
+}
+
+static PyObject *
+sender_maybe_send(PyObject *s)
+{
+    PyObject *sim, *retx, *acked, *seq_o, *r;
+    long long next, total, size, mss, inflight, now, next_pace, plen;
+    double cwnd, pace;
+    int c, paced;
+
+    /* Each pass re-checks its guards; handing the rest of the loop to the
+     * reference between two sends is the same as continuing it. */
+    for (;;) {
+        if (!plain_sender(s))
+            goto fallback;
+        sim = SLOT(s, D.sim);
+        retx = SLOT(s, D.retx_queue);
+        acked = SLOT(s, D.acked_seqs);
+        if (retx == NULL || !Py_IS_TYPE(retx, DequeType)
+                || Py_SIZE(retx) != 0
+                || acked == NULL || !PySet_CheckExact(acked)
+                || !slot_i64(s, D.next_seq, &next)
+                || !sender_sizes(s, &total, &size, &mss)
+                || !slot_i64(s, D.inflight_bytes, &inflight)
+                || inflight <= -EXACT_LIMIT || inflight >= EXACT_LIMIT
+                || !slot_float(s, D.cwnd, &cwnd)
+                || (paced = pace_rate(s, &pace)) < 0
+                || !slot_i64(sim, S.now, &now)
+                || !slot_i64(s, D.next_pace_ps, &next_pace)
+                || SLOT(s, D.pace_handle) == NULL)
+            goto fallback;
+        if (next >= total)
+            Py_RETURN_NONE;  /* no parity on a plain Sender */
+        seq_o = PyLong_FromLongLong(next);
+        if (seq_o == NULL)
+            return NULL;
+        c = PySet_Contains(acked, seq_o);
+        if (c < 0)
+            goto error;
+        if (c) {
+            /* Retired while queued: never emit it. */
+            Py_DECREF(seq_o);
+            if (slot_set_i64(s, D.next_seq, next + 1))
+                return NULL;
+            continue;
+        }
+        plen = payload_of(next, total, size, mss);
+        if (!((double)(inflight + plen) <= cwnd)) {
+            Py_DECREF(seq_o);
+            Py_RETURN_NONE;  /* an ACK will retrigger us */
+        }
+        if (paced && next_pace > now) {
+            Py_DECREF(seq_o);
+            if (SLOT(s, D.pace_handle) == Py_None) {
+                PyObject *wake = PyObject_GetAttr(s, s__pace_wakeup), *h;
+                if (wake == NULL)
+                    return NULL;
+                h = sim_at(sim, SLOT(s, D.next_pace_ps), wake);
+                Py_DECREF(wake);
+                if (h == NULL)
+                    return NULL;
+                slot_steal(s, D.pace_handle, h);
+            }
+            Py_RETURN_NONE;
+        }
+        if (slot_set_i64(s, D.next_seq, next + 1))
+            goto error;
+        if (attr_is(SenderType, s__emit, ENTRY_EMIT))
+            r = sender_emit(s, seq_o);
+        else
+            r = call_method(s__emit, s, seq_o, NULL);
+        Py_DECREF(seq_o);
+        if (done_with(r))
+            return NULL;
+    }
+
+error:
+    Py_DECREF(seq_o);
+    return NULL;
+
+fallback:
+    return fallback1(ENTRY_MAYBE_SEND, s);
+}
+
+/* ``self._maybe_send()`` through the entry while it is installed. */
+static inline PyObject *
+maybe_send(PyObject *s)
+{
+    if (attr_is(SenderType, s__maybe_send, ENTRY_MAYBE_SEND))
+        return sender_maybe_send(s);
+    return call_method(s__maybe_send, s, NULL, NULL);
+}
+
+static PyObject *
+sender_pace_wakeup(PyObject *s)
+{
+    PyObject *r;
+    if (!Py_IS_TYPE(s, SenderType))
+        return fallback1(ENTRY_PACE, s);
+    slot_set(s, D.pace_handle, Py_None);
+    r = maybe_send(s);
+    if (done_with(r))
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* -- UnoCC.on_ack --------------------------------------------------------- */
+
+/* What the inlined UnoCC.on_ack reads from the controller, the sender
+ * and the ACK. */
+typedef struct {
+    PyObject *tracker;
+    double alpha, max_cwnd, cwnd;
+    long long period, t_epoch, total, marked, max_rel, closed, payload,
+        echo, base_rtt;
+    int slow_start, has_epoch, use_pacing;
+} CCState;
+
+/* Guards for the inlined UnoCC.on_ack: 1 when it applies, 0 when the
+ * reference must run (e.g. the first ACK, which starts Quick Adapt), -1
+ * on error. Reads only. */
+static int
+unocc_ready(PyObject *cc, CCState *st)
+{
+    PyObject *tr, *te, *cfg, *use;
+    if (!Py_IS_TYPE(cc, UnoCCType) || SLOT(cc, C.qa_started) != Py_True
+            || !is_bool(SLOT(cc, C.slow_start))
+            || !slot_float(cc, C.alpha_bytes, &st->alpha)
+            || !slot_float(cc, C.max_cwnd, &st->max_cwnd)
+            || (tr = SLOT(cc, C.tracker)) == NULL
+            || !Py_IS_TYPE(tr, TrackerType)
+            || (te = SLOT(tr, E.t_epoch)) == NULL
+            || (te != Py_None && !as_i64(te, &st->t_epoch))
+            || !slot_i64(tr, E.period_ps, &st->period)
+            || !slot_i64(tr, E.total, &st->total)
+            || !slot_i64(tr, E.marked, &st->marked)
+            || !slot_i64(tr, E.max_rel_delay, &st->max_rel)
+            || !slot_i64(tr, E.epochs_closed, &st->closed)
+            || (cfg = SLOT(cc, C.config)) == NULL)
+        return 0;
+    use = PyObject_GetAttr(cfg, s_use_pacing);
+    if (use == NULL)
+        return -1;
+    Py_DECREF(use);
+    if (!is_bool(use))
+        return 0;
+    st->tracker = tr;
+    st->slow_start = SLOT(cc, C.slow_start) == Py_True;
+    st->has_epoch = te != Py_None;
+    st->use_pacing = use == Py_True;
+    return 1;
+}
+
+/* Sender and ACK fields UnoCC.on_ack reads, checked before any write. */
+static inline int
+unocc_sender_ready(PyObject *s, PyObject *pkt, CCState *st)
+{
+    PyObject *m = SLOT(s, D.min_rtt_ps);
+    long long v;
+    double f;
+    return slot_float(s, D.cwnd, &st->cwnd) && slot_float(s, D.srtt_ps, &f)
+        && slot_float(s, D.line_gbps, &f)
+        && slot_i64(s, D.base_rtt_ps, &st->base_rtt)
+        && m != NULL && (m == Py_None || as_i64(m, &v))
+        && slot_i64(pkt, K.payload, &st->payload)
+        && st->payload > -EXACT_LIMIT && st->payload < EXACT_LIMIT
+        && slot_i64(pkt, K.echo_sent_ps, &st->echo);
+}
+
+/* The sender's cwnd, which the reference keeps a float. */
+static inline int
+cwnd_of(PyObject *s, double *cwnd)
+{
+    if (slot_float(s, D.cwnd, cwnd))
+        return 0;
+    PyErr_SetString(PyExc_TypeError, "Sender.cwnd must be a float");
+    return -1;
+}
+
+/* pacing_rate_gbps = min(line_gbps, rate_estimate_gbps), as UnoCC sets
+ * it (Sender.rate_estimate_gbps inlined). */
+static int
+set_pacing(PyObject *s)
+{
+    double cwnd, srtt, line, est;
+    if (cwnd_of(s, &cwnd))
+        return -1;
+    if (!slot_float(s, D.srtt_ps, &srtt)
+            || !slot_float(s, D.line_gbps, &line)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "Sender.srtt_ps and line_gbps must be floats");
+        return -1;
+    }
+    if (srtt <= 0)
+        est = line;
+    else {
+        double r = cwnd * 8000.0 / srtt, l4 = line * 4;
+        est = r < l4 ? r : l4;
+    }
+    return slot_set_f64(s, D.pacing_rate_gbps, est < line ? est : line);
+}
+
+/* UnoCC.on_ack(sender, pkt, rtt, ecn) after unocc_sender_ready() and
+ * unocc_ready() passed; cwnd is unchanged since, min_rtt_ps may not be. */
+static int
+unocc_apply(PyObject *cc, CCState *st, PyObject *s, long long rtt, int ecn,
+            PyObject *now_o)
+{
+    PyObject *m = SLOT(s, D.min_rtt_ps), *tr = st->tracker;
+    long long payload = st->payload, echo = st->echo, now, base, rel;
+    double cwnd = st->cwnd;
+    int rc = 0;
+    if (st->slow_start) {
+        if (!ecn) {
+            cwnd += (double)payload;  /* double per RTT */
+            if (cwnd >= st->max_cwnd) {
+                cwnd = st->max_cwnd;
+                slot_set(cc, C.slow_start, Py_False);
+            }
+        }
+    }
+    else if (!ecn)
+        cwnd += st->alpha * (double)payload / cwnd;
+    if (cwnd > st->max_cwnd)
+        cwnd = st->max_cwnd;
+    if (slot_set_f64(s, D.cwnd, cwnd))
+        return -1;
+    /* rel_delay = max(0, rtt - (min_rtt_ps or base_rtt_ps)) */
+    if (m == Py_None || !as_i64(m, &base) || base == 0)
+        base = st->base_rtt;
+    rel = rtt - base;
+    if (!(rel > 0))
+        rel = 0;
+
+    /* EpochTracker.on_ack(now, pkt.echo_sent_ps, ecn, rel_delay) */
+    Py_INCREF(tr);
+    if (!st->has_epoch) {
+        if (!as_i64(now_o, &now)) {
+            PyErr_SetString(PyExc_TypeError, "Simulator.now must be an int");
+            goto error;
+        }
+        st->t_epoch = now;
+        slot_set(tr, E.t_epoch, now_o);
+    }
+    st->total += 1;
+    if (ecn)
+        st->marked += 1;
+    if (rel > st->max_rel)
+        st->max_rel = rel;
+    if (echo < st->t_epoch) {
+        if (slot_set_i64(tr, E.total, st->total)
+                || slot_set_i64(tr, E.marked, st->marked)
+                || slot_set_i64(tr, E.max_rel_delay, st->max_rel))
+            goto error;
+    }
+    else {
+        PyObject *args[3], *summary, *r;
+        long long next = st->t_epoch + st->period;
+        args[0] = PyLong_FromLongLong(st->total);
+        args[1] = PyLong_FromLongLong(st->marked);
+        args[2] = PyLong_FromLongLong(st->max_rel);
+        summary = (args[0] && args[1] && args[2])
+            ? PyObject_Vectorcall(SummaryType, args, 3, NULL) : NULL;
+        Py_XDECREF(args[0]);
+        Py_XDECREF(args[1]);
+        Py_XDECREF(args[2]);
+        if (summary == NULL)
+            goto error;
+        slot_set(tr, E.total, int_zero);
+        slot_set(tr, E.marked, int_zero);
+        slot_set(tr, E.max_rel_delay, int_zero);
+        if (slot_set_i64(tr, E.t_epoch, echo > next ? echo : next)
+                || slot_set_i64(tr, E.epochs_closed, st->closed + 1)) {
+            Py_DECREF(summary);
+            goto error;
+        }
+        r = call_method(s__on_epoch, cc, s, summary);
+        Py_DECREF(summary);
+        if (done_with(r))
+            goto error;
+    }
+    Py_DECREF(tr);
+    if (st->use_pacing)
+        rc = set_pacing(s);
+    return rc;
+
+error:
+    Py_DECREF(tr);
+    return -1;
+}
+
+static PyObject *
+unocc_on_ack(PyObject *const *args)
+{
+    PyObject *cc = args[0], *s = args[1], *pkt = args[2], *ecn_o = args[4],
+        *now_o;
+    long long rtt;
+    CCState st;
+    int ready;
+
+    if (!plain_sender(s) || !Py_IS_TYPE(pkt, PacketType)
+            || !as_i64(args[3], &rtt) || !is_bool(ecn_o)
+            || !unocc_sender_ready(s, pkt, &st)
+            || (now_o = SLOT(SLOT(s, D.sim), S.now)) == NULL)
+        goto fallback;
+    ready = unocc_ready(cc, &st);
+    if (ready < 0)
+        return NULL;
+    if (!ready)
+        goto fallback;
+    Py_INCREF(now_o);
+    ready = unocc_apply(cc, &st, s, rtt, ecn_o == Py_True, now_o);
+    Py_DECREF(now_o);
+    if (ready)
+        return NULL;
+    Py_RETURN_NONE;
+
+fallback:
+    return call_fallback(ENTRY_UNOCC, args);
+}
+
+/* -- Sender.on_packet / _on_ack ------------------------------------------- */
+
+static PyObject *
+sender_on_ack(PyObject *s, PyObject *pkt)
+{
+    PyObject *sim, *seq_o, *acked, *outstanding, *lost, *stats, *sent,
+        *now_o, *cc, *path, *ecn_o, *lb_acks = NULL, *m, *r;
+    long long seq, now, echo, payload, inflight, min_rtt = 0, rtt, mss;
+    double srtt, rttvar, cwnd;
+    int c, has_min, ready;
+    CCState st;
+
+    if (!plain_sender(s) || !Py_IS_TYPE(pkt, PacketType))
+        goto fallback;
+    sim = SLOT(s, D.sim);
+    seq_o = SLOT(pkt, K.seq);
+    if (seq_o == NULL || !as_i64(seq_o, &seq) || seq < 0)
+        goto fallback;  /* control ACK */
+    acked = SLOT(s, D.acked_seqs);
+    outstanding = SLOT(s, D.outstanding);
+    lost = SLOT(s, D.lost_seqs);
+    stats = SLOT(s, D.stats);
+    now_o = SLOT(sim, S.now);
+    cc = SLOT(s, D.cc);
+    path = SLOT(s, D.path);
+    ecn_o = SLOT(pkt, K.ecn_echo);
+    m = SLOT(s, D.min_rtt_ps);
+    if (acked == NULL || !PySet_CheckExact(acked)
+            || outstanding == NULL || !PyDict_CheckExact(outstanding)
+            || lost == NULL || !PySet_CheckExact(lost)
+            || stats == NULL || !Py_IS_TYPE(stats, StatsType)
+            || SLOT(stats, T.bytes_acked) == NULL
+            || now_o == NULL || !as_i64(now_o, &now)
+            || !slot_i64(pkt, K.echo_sent_ps, &echo)
+            || ecn_o == NULL || !is_bool(ecn_o)
+            || !slot_i64(s, D.inflight_bytes, &inflight)
+            || m == NULL || (m != Py_None && !as_i64(m, &min_rtt))
+            || !slot_float(s, D.srtt_ps, &srtt)
+            || !slot_float(s, D.rttvar_ps, &rttvar)
+            || !slot_i64(s, D.mss, &mss) || mss >= EXACT_LIMIT
+            || SLOT(s, D.total_data_pkts) == NULL
+            || cc == NULL || path == NULL
+            || !attr_is(UnoCCType, s_on_ack, ENTRY_UNOCC)
+            || !unocc_sender_ready(s, pkt, &st))
+        goto fallback;
+    has_min = m != Py_None;
+    rtt = now - echo;
+    if (rtt <= -EXACT_LIMIT || rtt >= EXACT_LIMIT)
+        goto fallback;
+    if (Py_IS_TYPE(path, UnoLBType)) {
+        lb_acks = SLOT(path, B.last_ack_ps);
+        if (lb_acks == NULL || !PyDict_CheckExact(lb_acks)
+                || SLOT(pkt, K.dport) == NULL)
+            goto fallback;
+    }
+    else if (!Py_IS_TYPE(path, FixedType))
+        goto fallback;
+    c = PySet_Contains(acked, seq_o);
+    if (c < 0)
+        return NULL;
+    if (c)
+        goto fallback;  /* duplicate */
+    sent = PyDict_GetItemWithError(outstanding, seq_o);
+    if (sent == NULL) {
+        if (PyErr_Occurred())
+            return NULL;
+        goto fallback;  /* stale */
+    }
+    if (!Py_IS_TYPE(sent, PacketType) || !slot_i64(sent, K.payload, &payload))
+        goto fallback;
+    ready = unocc_ready(cc, &st);
+    if (ready < 0)
+        return NULL;
+    if (!ready)
+        goto fallback;  /* e.g. the first ACK starts Quick Adapt */
+
+    /* Commit. */
+    Py_INCREF(seq_o);
+    if (PyDict_DelItem(outstanding, seq_o) || PySet_Add(acked, seq_o)) {
+        Py_DECREF(seq_o);
+        return NULL;
+    }
+    slot_set(s, D.rto_backoff, int_one);  /* ACK progress ends backoff */
+    slot_set(s, D.consecutive_timeouts, int_zero);
+    c = PySet_Contains(lost, seq_o);
+    if (c > 0)
+        c = PySet_Discard(lost, seq_o) < 0 ? -1 : 1;
+    Py_DECREF(seq_o);
+    if (c < 0 || (c == 0 && slot_set_i64(s, D.inflight_bytes,
+                                         inflight - payload))
+            || slot_add(stats, T.bytes_acked, payload))
+        return NULL;
+    if (rtt > 0) {
+        if (!has_min || rtt < min_rtt) {
+            if (slot_set_i64(s, D.min_rtt_ps, rtt))
+                return NULL;
+        }
+        rttvar += 0.25 * (fabs((double)rtt - srtt) - rttvar);
+        srtt += 0.125 * ((double)rtt - srtt);
+        if (slot_set_f64(s, D.rttvar_ps, rttvar)
+                || slot_set_f64(s, D.srtt_ps, srtt))
+            return NULL;
+    }
+    /* Hold what is used after the Python callouts (_on_epoch). */
+    Py_INCREF(now_o);
+    Py_INCREF(acked);
+    Py_INCREF(cc);
+    Py_INCREF(path);
+    Py_XINCREF(lb_acks);
+    if (unocc_apply(cc, &st, s, rtt, ecn_o == Py_True, now_o))
+        goto error;
+    /* cwnd = max(cwnd, float(mss)) */
+    if (cwnd_of(s, &cwnd)
+            || ((double)mss > cwnd && slot_set_f64(s, D.cwnd, (double)mss)))
+        goto error;
+    /* UnoLB.on_ack: the ACK's dport carries the data packet's subflow.
+     * FixedEntropy's on_ack is a no-op; so is Sender._after_ack. */
+    if (lb_acks != NULL
+            && PyDict_SetItem(lb_acks, SLOT(pkt, K.dport), now_o))
+        goto error;
+    {
+        long long total;
+        if (slot_i64(s, D.total_data_pkts, &total)
+                && PySet_GET_SIZE(acked) < total)
+            c = 0;  /* _check_done() cannot succeed yet */
+        else {
+            r = call_method(s__check_done, s, NULL, NULL);
+            if (r == NULL)
+                goto error;
+            c = PyObject_IsTrue(r);
+            Py_DECREF(r);
+            if (c < 0)
+                goto error;
+        }
+    }
+    Py_DECREF(now_o);
+    Py_DECREF(acked);
+    Py_DECREF(cc);
+    Py_DECREF(path);
+    Py_XDECREF(lb_acks);
+    if (c)
+        Py_RETURN_NONE;
+    r = maybe_send(s);
+    if (done_with(r))
+        return NULL;
+    Py_RETURN_NONE;
+
+error:
+    Py_DECREF(now_o);
+    Py_DECREF(acked);
+    Py_DECREF(cc);
+    Py_DECREF(path);
+    Py_XDECREF(lb_acks);
+    return NULL;
+
+fallback:
+    return fallback2(ENTRY_ON_ACK, s, pkt);
+}
+
+static PyObject *
+sender_on_packet(PyObject *s, PyObject *pkt)
+{
+    PyObject *done, *aborted, *r;
+    long long kind;
+
+    if (!Py_IS_TYPE(s, SenderType) || !Py_IS_TYPE(pkt, PacketType)
+            || !slot_i64(pkt, K.kind, &kind))
+        goto fallback;
+    done = SLOT(s, D.done);
+    aborted = SLOT(s, D.aborted);
+    if (done == NULL || !is_bool(done) || aborted == NULL || !is_bool(aborted))
+        goto fallback;
+    if (done == Py_True || aborted == Py_True)
+        Py_RETURN_NONE;  /* terminal */
+    if (kind != ACK_KIND)
+        goto fallback;  /* NACK, CNP */
+    if (attr_is(SenderType, s__on_ack, ENTRY_ON_ACK))
+        r = sender_on_ack(s, pkt);
+    else
+        r = call_method(s__on_ack, s, pkt, NULL);
+    if (done_with(r))
+        return NULL;
+    Py_RETURN_NONE;
+
+fallback:
+    return fallback2(ENTRY_SENDER, s, pkt);
 }
 
 /* -- FastMethod ------------------------------------------------------------ */
@@ -1014,8 +2061,24 @@ entry_call(FastMethod *fm, PyObject *const *args)
         return port_enqueue(args[0], args[1]);
     case ENTRY_DRAIN:
         return link_drain(args[0]);
-    default:
+    case ENTRY_SWITCH:
         return switch_receive(args[0], args[1]);
+    case ENTRY_HOST:
+        return host_receive(args[0], args[1]);
+    case ENTRY_RECEIVER:
+        return receiver_on_packet(args[0], args[1]);
+    case ENTRY_SENDER:
+        return sender_on_packet(args[0], args[1]);
+    case ENTRY_ON_ACK:
+        return sender_on_ack(args[0], args[1]);
+    case ENTRY_MAYBE_SEND:
+        return sender_maybe_send(args[0]);
+    case ENTRY_EMIT:
+        return sender_emit(args[0], args[1]);
+    case ENTRY_PACE:
+        return sender_pace_wakeup(args[0]);
+    default:
+        return unocc_on_ack(args);
     }
 }
 
@@ -1102,13 +2165,15 @@ static PyTypeObject FastMethodType = {
 static inline PyObject *
 dispatch(PyObject *fn, PyObject *args)
 {
-    Py_ssize_t n = PyTuple_GET_SIZE(args);
+    Py_ssize_t i, n = PyTuple_GET_SIZE(args);
     if (Py_IS_TYPE(fn, &PyMethod_Type)
             && Py_IS_TYPE(PyMethod_GET_FUNCTION(fn), &FastMethodType)) {
         FastMethod *fm = (FastMethod *)PyMethod_GET_FUNCTION(fn);
         if (n + 1 == entry_nargs[fm->which]) {
-            PyObject *stack[2] = {PyMethod_GET_SELF(fn),
-                                  n ? PyTuple_GET_ITEM(args, 0) : NULL};
+            PyObject *stack[MAX_NARGS];
+            stack[0] = PyMethod_GET_SELF(fn);
+            for (i = 0; i < n; i++)
+                stack[i + 1] = PyTuple_GET_ITEM(args, i);
             return entry_call(fm, stack);
         }
     }
@@ -1290,24 +2355,34 @@ check_type(PyObject *o, const char *what)
 
 PyDoc_STRVAR(bind_doc,
 "bind(Simulator, EventHandle, Port, Link, Switch, Packet, PhantomQueue,\n"
-"     deque, switch_namespace)\n\n"
+"     deque, Host, Sender, Receiver, SenderStats, UnoCC, EpochTracker,\n"
+"     UnoLB, FixedEntropy, EpochSummary, switch_namespace, header_bytes,\n"
+"     ack_size)\n\n"
 "Resolve the classes' __slots__ member offsets and the deque primitives.\n"
 "Raises if any class does not have the expected slotted layout.");
+
+#define N_BOUND 17
 
 static PyObject *
 fp_bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *what[] = {"Simulator", "EventHandle", "Port", "Link",
-                                 "Switch", "Packet", "PhantomQueue",
-                                 "deque"};
-    PyTypeObject *types[8];
+    static const char *what[N_BOUND] = {
+        "Simulator", "EventHandle", "Port", "Link", "Switch", "Packet",
+        "PhantomQueue", "deque", "Host", "Sender", "Receiver",
+        "SenderStats", "UnoCC", "EpochTracker", "UnoLB", "FixedEntropy",
+        "EpochSummary"};
+    PyTypeObject *types[N_BOUND];
+    long long hdr, ack;
     int i;
 
-    if (nargs != 9 || !PyDict_Check(args[8])) {
-        PyErr_SetString(PyExc_TypeError, "bind() takes 8 classes and a dict");
+    if (nargs != N_BOUND + 3 || !PyDict_Check(args[N_BOUND])
+            || !as_i64(args[N_BOUND + 1], &hdr)
+            || !as_i64(args[N_BOUND + 2], &ack)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind() takes 17 classes, a dict and two ints");
         return NULL;
     }
-    for (i = 0; i < 8; i++) {
+    for (i = 0; i < N_BOUND; i++) {
         if (check_type(args[i], what[i]))
             return NULL;
         types[i] = (PyTypeObject *)args[i];
@@ -1315,11 +2390,13 @@ fp_bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     {
         OffsetSpec sim[] = {{&S.now, "now"}, {&S.heap, "_heap"},
                             {&S.seq, "_seq"}, {&S.n_executed, "_n_executed"},
-                            {&S.n_cancelled, "_n_cancelled"}, {NULL, NULL}};
+                            {&S.n_cancelled, "_n_cancelled"},
+                            {&S.obs, "obs"}, {NULL, NULL}};
         OffsetSpec handle[] = {{&H.time, "time"}, {&H.fn, "fn"},
                                {&H.args, "args"},
                                {&H.cancelled, "cancelled"},
-                               {&H.fired, "fired"}, {NULL, NULL}};
+                               {&H.fired, "fired"}, {&H.sim, "sim"},
+                               {NULL, NULL}};
         OffsetSpec port[] = {
             {&P.sim, "sim"}, {&P.link, "link"}, {&P.events, "_events"},
             {&P.monitor, "monitor"}, {&P.pfc, "pfc"}, {&P.batch, "_batch"},
@@ -1346,17 +2423,76 @@ fp_bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
             {&W.hash_cache, "_hash_cache"}, {&W.salt, "salt"},
             {&W.multipath_pkts, "multipath_pkts"}, {NULL, NULL}};
         OffsetSpec packet[] = {
-            {&K.kind, "kind"}, {&K.src, "src"}, {&K.dst, "dst"},
-            {&K.sport, "sport"}, {&K.dport, "dport"}, {&K.size, "size"},
-            {&K.ecn, "ecn"}, {&K.hops, "hops"}, {NULL, NULL}};
+            {&K.kind, "kind"}, {&K.flow_id, "flow_id"}, {&K.src, "src"},
+            {&K.dst, "dst"}, {&K.sport, "sport"}, {&K.dport, "dport"},
+            {&K.seq, "seq"}, {&K.size, "size"}, {&K.payload, "payload"},
+            {&K.ecn, "ecn"}, {&K.sent_ps, "sent_ps"},
+            {&K.echo_sent_ps, "echo_sent_ps"}, {&K.ecn_echo, "ecn_echo"},
+            {&K.block_id, "block_id"}, {&K.block_pos, "block_pos"},
+            {&K.nack_block, "nack_block"}, {&K.retx, "retx"},
+            {&K.hops, "hops"}, {&K.int_util, "int_util"}, {NULL, NULL}};
         OffsetSpec phantom[] = {
             {&Q.occupancy, "occupancy"}, {&Q.drain, "_drain_bytes_per_ps"},
             {&Q.last_ps, "_last_ps"}, {&Q.min_th, "min_th"},
             {&Q.max_th, "max_th"}, {&Q.rng, "_rng"}, {NULL, NULL}};
+        OffsetSpec host[] = {
+            {&O.node_id, "node_id"}, {&O.up, "up"},
+            {&O.endpoints, "endpoints"}, {&O.rx_pkts, "rx_pkts"},
+            {&O.orphan_pkts, "orphan_pkts"}, {&O.uplink, "_uplink"},
+            {NULL, NULL}};
+        OffsetSpec sender[] = {
+            {&D.sim, "sim"}, {&D.flow_id, "flow_id"}, {&D.src, "src"},
+            {&D.dst, "dst"}, {&D.size_bytes, "size_bytes"}, {&D.cc, "cc"},
+            {&D.mss, "mss"}, {&D.base_rtt_ps, "base_rtt_ps"},
+            {&D.line_gbps, "line_gbps"}, {&D.path, "path"},
+            {&D.total_data_pkts, "total_data_pkts"},
+            {&D.next_seq, "_next_seq"}, {&D.outstanding, "outstanding"},
+            {&D.inflight_bytes, "inflight_bytes"},
+            {&D.acked_seqs, "acked_seqs"}, {&D.retx_queue, "_retx_queue"},
+            {&D.lost_seqs, "_lost_seqs"}, {&D.cwnd, "cwnd"},
+            {&D.pacing_rate_gbps, "pacing_rate_gbps"},
+            {&D.min_rtt_ps, "min_rtt_ps"}, {&D.srtt_ps, "srtt_ps"},
+            {&D.rttvar_ps, "rttvar_ps"}, {&D.next_pace_ps, "_next_pace_ps"},
+            {&D.pace_handle, "_pace_handle"},
+            {&D.rto_backoff, "_rto_backoff"},
+            {&D.consecutive_timeouts, "_consecutive_timeouts"},
+            {&D.aborted, "_aborted"}, {&D.stats, "stats"},
+            {&D.done, "_done"}, {&D.obs, "_obs"}, {&D.events, "_events"},
+            {&D.spans, "_spans"}, {&D.counters, "_counters"}, {NULL, NULL}};
+        OffsetSpec receiver[] = {
+            {&R.sim, "sim"}, {&R.host, "host"}, {&R.spans, "_spans"},
+            {&R.rx_data_pkts, "rx_data_pkts"},
+            {&R.idle_timeout_ps, "idle_timeout_ps"},
+            {&R.last_rx_ps, "_last_rx_ps"},
+            {&R.idle_handle, "_idle_handle"}, {NULL, NULL}};
+        OffsetSpec stats[] = {
+            {&T.bytes_acked, "bytes_acked"},
+            {&T.data_pkts_sent, "data_pkts_sent"},
+            {&T.parity_pkts_sent, "parity_pkts_sent"},
+            {&T.first_send_ps, "first_send_ps"}, {NULL, NULL}};
+        OffsetSpec unocc[] = {
+            {&C.config, "config"}, {&C.tracker, "_tracker"},
+            {&C.alpha_bytes, "_alpha_bytes"},
+            {&C.qa_started, "_qa_started"}, {&C.slow_start, "_slow_start"},
+            {&C.max_cwnd, "_max_cwnd"}, {NULL, NULL}};
+        OffsetSpec tracker[] = {
+            {&E.period_ps, "period_ps"}, {&E.t_epoch, "t_epoch"},
+            {&E.total, "_total"}, {&E.marked, "_marked"},
+            {&E.max_rel_delay, "_max_rel_delay"},
+            {&E.epochs_closed, "epochs_closed"}, {NULL, NULL}};
+        OffsetSpec unolb[] = {
+            {&B.entropies, "entropies"}, {&B.index, "_index"},
+            {&B.last_ack_ps, "_last_ack_ps"},
+            {&B.n_subflows, "n_subflows"}, {NULL, NULL}};
+        OffsetSpec fixed[] = {{&F.value, "_value"}, {NULL, NULL}};
         if (resolve(types[0], sim) || resolve(types[1], handle)
                 || resolve(types[2], port) || resolve(types[3], link)
                 || resolve(types[4], switch_) || resolve(types[5], packet)
-                || resolve(types[6], phantom))
+                || resolve(types[6], phantom) || resolve(types[8], host)
+                || resolve(types[9], sender) || resolve(types[10], receiver)
+                || resolve(types[11], stats) || resolve(types[12], unocc)
+                || resolve(types[13], tracker) || resolve(types[14], unolb)
+                || resolve(types[15], fixed))
             return NULL;
     }
     dq_append = method_impl(types[7], "append", METH_O);
@@ -1365,7 +2501,7 @@ fp_bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     dq_popleft = method_impl(types[7], "popleft", METH_NOARGS);
     if (dq_popleft == NULL)
         return NULL;
-    for (i = 0; i < 8; i++)
+    for (i = 0; i < N_BOUND; i++)
         Py_INCREF(types[i]);
     SimType = types[0];
     HandleType = types[1];
@@ -1375,15 +2511,28 @@ fp_bind(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     PacketType = types[5];
     PhantomType = types[6];
     DequeType = types[7];
-    Py_INCREF(args[8]);
-    Py_XSETREF(switch_globals, args[8]);
+    HostType = types[8];
+    SenderType = types[9];
+    ReceiverType = types[10];
+    StatsType = types[11];
+    UnoCCType = types[12];
+    TrackerType = types[13];
+    UnoLBType = types[14];
+    FixedType = types[15];
+    SummaryType = (PyObject *)types[16];
+    header_bytes = hdr;
+    ack_size = ack;
+    Py_INCREF(args[N_BOUND]);
+    Py_XSETREF(switch_globals, args[N_BOUND]);
     bound = 1;
     Py_RETURN_NONE;
 }
 
 PyDoc_STRVAR(entry_doc,
 "entry(name, fallback) -> descriptor\n\n"
-"The compiled entry ``name`` (enqueue, drain or switch_receive) as a\n"
+"The compiled entry ``name`` (enqueue, drain, switch_receive,\n"
+"host_receive, receiver_on_packet, sender_on_packet, sender_on_ack,\n"
+"maybe_send, emit, pace_wakeup or unocc_on_ack) as a\n"
 "method descriptor that defers to ``fallback`` for every case it does\n"
 "not handle. Install it as the class attribute it replaces.");
 
@@ -1417,7 +2566,7 @@ fp_entry(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     fm->vectorcall = fm_vectorcall;
     Py_INCREF(fm);
     Py_XSETREF(entries[which], fm);
-    port_receive_tag = switch_receive_tag = 0;
+    memset(entry_tags, 0, sizeof(entry_tags));
     return (PyObject *)fm;
 }
 
@@ -1432,7 +2581,7 @@ static PyMethodDef fp_methods[] = {
 static struct PyModuleDef fp_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_fastpath",
-    .m_doc = "Compiled per-packet fabric hot path (see repro.sim.fastpath).",
+    .m_doc = "Compiled per-packet hot path (see repro.sim.fastpath).",
     .m_size = -1,
     .m_methods = fp_methods,
 };
@@ -1448,7 +2597,25 @@ PyInit__fastpath(void)
     s_at_seq = PyUnicode_InternFromString("at_seq");
     s__drain = PyUnicode_InternFromString("_drain");
     s_flow_hash = PyUnicode_InternFromString("flow_hash");
-    if (!s_receive || !s_random || !s_at_seq || !s__drain || !s_flow_hash)
+    s_on_packet = PyUnicode_InternFromString("on_packet");
+    s__on_ack = PyUnicode_InternFromString("_on_ack");
+    s__maybe_send = PyUnicode_InternFromString("_maybe_send");
+    s__emit = PyUnicode_InternFromString("_emit");
+    s_on_ack = PyUnicode_InternFromString("on_ack");
+    s__pace_wakeup = PyUnicode_InternFromString("_pace_wakeup");
+    s_send = PyUnicode_InternFromString("send");
+    s__on_epoch = PyUnicode_InternFromString("_on_epoch");
+    s__check_done = PyUnicode_InternFromString("_check_done");
+    s_use_pacing = PyUnicode_InternFromString("use_pacing");
+    int_zero = PyLong_FromLong(0);
+    int_one = PyLong_FromLong(1);
+    float_zero = PyFloat_FromDouble(0.0);
+    empty_tuple = PyTuple_New(0);
+    if (!s_receive || !s_random || !s_at_seq || !s__drain || !s_flow_hash
+            || !s_on_packet || !s__on_ack || !s__maybe_send || !s__emit
+            || !s_on_ack || !s__pace_wakeup || !s_send || !s__on_epoch
+            || !s__check_done || !s_use_pacing
+            || !int_zero || !int_one || !float_zero || !empty_tuple)
         return NULL;
     m = PyModule_Create(&fp_module);
     if (m == NULL)

@@ -1,14 +1,17 @@
 """Loader for the compiled per-packet hot path (``_fastpath.c``).
 
 The C module implements the lean :meth:`Simulator.run` loop,
-``Link._drain``, the common case of ``Switch.receive`` and the
-batch-advance fast path of ``Port.enqueue``, bit-identically to the
-pure-Python methods, which stay the reference (see DESIGN.md
-"Performance"). :func:`activate` runs from every ``Simulator()``; the
-first call builds the module with ``sysconfig``'s C compiler into a
-cache keyed by a hash of the source and the interpreter's extension
-suffix, then installs the compiled entries as the class attributes they
-replace. Nothing happens at import time.
+``Link._drain``, the common case of ``Switch.receive``, the
+batch-advance fast path of ``Port.enqueue``, and the per-ACK transport
+path (``Host.receive``, ``Receiver.on_packet``, ``Sender.on_packet`` /
+``_on_ack`` / ``_maybe_send`` / ``_emit`` / ``_pace_wakeup`` and
+``UnoCC.on_ack``), bit-identically to the pure-Python methods, which
+stay the reference (see DESIGN.md "Performance"). :func:`activate` runs
+from every ``Simulator()``; the first call builds the module with
+``sysconfig``'s C compiler into a cache keyed by a hash of the source,
+the compile flags and the interpreter's extension suffix, then installs
+the compiled entries as the class attributes they replace. Nothing
+happens at import time.
 
 Importing this module costs nothing: the build machinery is imported on
 first use. A warm start costs one ``stat`` and a ``dlopen``. Without a
@@ -37,6 +40,12 @@ reason = ""
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_fastpath.c")
 _MODULE_NAME = "repro.sim._fastpath"
+
+#: Optimisation flags. ``-ffp-contract=off`` keeps every float operation
+#: rounded separately, as Python rounds it: without it clang (always)
+#: and GCC on aarch64 fuse ``x += g * (y - x)`` into one FMA, and the
+#: RTT and window estimates drift from the reference by an ulp.
+_CFLAGS = ("-O2", "-ffp-contract=off")
 
 _module = None        # the bound extension module, once loaded
 _tried = False        # a load was attempted (success or not)
@@ -119,7 +128,8 @@ def _build() -> str:
 
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
-    digest = f"{zlib.crc32(source):08x}{len(source):x}"
+    key = source + " ".join(_CFLAGS).encode()
+    digest = f"{zlib.crc32(key):08x}{len(key):x}"
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     name = f"_fastpath-{digest}{suffix}"
     errors = []
@@ -160,7 +170,7 @@ def _compile(cache: str, path: str) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            argv + ["-O2", "-fPIC", *link, "-I", include, _SOURCE,
+            argv + [*_CFLAGS, "-fPIC", *link, "-I", include, _SOURCE,
                     "-o", tmp],
             capture_output=True, text=True)
         if proc.returncode != 0:
@@ -188,28 +198,47 @@ def _compile(cache: str, path: str) -> None:
 def _bind(mod) -> None:
     from collections import deque
 
+    from repro.core.unocc import UnoCC
+    from repro.core.unolb import UnoLB
     from repro.sim import switch
     from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.host import Host
     from repro.sim.link import Link
-    from repro.sim.packet import Packet
+    from repro.sim.packet import ACK_SIZE, Packet
     from repro.sim.queues import PhantomQueue, Port
+    from repro.transport import base
+    from repro.transport.epochs import EpochSummary, EpochTracker
 
     mod.bind(Simulator, EventHandle, Port, Link, switch.Switch, Packet,
-             PhantomQueue, deque, vars(switch))
+             PhantomQueue, deque, Host, base.Sender, base.Receiver,
+             base.SenderStats, UnoCC, EpochTracker, UnoLB,
+             base.FixedEntropy, EpochSummary, vars(switch),
+             base.HEADER_BYTES, ACK_SIZE)
 
 
 def _targets():
     """(class, attribute, compiled entry, reference qualname). Port's
     ``receive`` aliases ``enqueue``; both names get the same entry."""
+    from repro.core.unocc import UnoCC
+    from repro.sim.host import Host
     from repro.sim.link import Link
     from repro.sim.queues import Port
     from repro.sim.switch import Switch
+    from repro.transport.base import Receiver, Sender
 
     return (
         (Port, "enqueue", "enqueue", "Port.enqueue"),
         (Port, "receive", "enqueue", "Port.enqueue"),
         (Link, "_drain", "drain", "Link._drain"),
         (Switch, "receive", "switch_receive", "Switch.receive"),
+        (Host, "receive", "host_receive", "Host.receive"),
+        (Receiver, "on_packet", "receiver_on_packet", "Receiver.on_packet"),
+        (Sender, "on_packet", "sender_on_packet", "Sender.on_packet"),
+        (Sender, "_on_ack", "sender_on_ack", "Sender._on_ack"),
+        (Sender, "_maybe_send", "maybe_send", "Sender._maybe_send"),
+        (Sender, "_emit", "emit", "Sender._emit"),
+        (Sender, "_pace_wakeup", "pace_wakeup", "Sender._pace_wakeup"),
+        (UnoCC, "on_ack", "unocc_on_ack", "UnoCC.on_ack"),
     )
 
 

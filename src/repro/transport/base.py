@@ -29,7 +29,8 @@ under :class:`~repro.wire.clock.WallClock` (see :mod:`repro.wire`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -130,6 +131,8 @@ class CongestionControl:
     """Strategy interface. Implementations mutate ``sender.cwnd`` (bytes)
     and may set ``sender.pacing_rate_gbps``. All hooks are optional."""
 
+    __slots__ = ()
+
     def on_init(self, sender: "Sender") -> None:
         """Called once when the flow starts; set the initial window here."""
 
@@ -151,6 +154,8 @@ class PathSelector:
     """Chooses the entropy (source port) for outgoing packets and reacts
     to delivery feedback. The default keeps one ECMP path per flow."""
 
+    __slots__ = ()
+
     def on_init(self, sender: "Sender") -> None: ...
 
     def entropy(self, sender: "Sender", pkt: Packet) -> int:
@@ -164,6 +169,8 @@ class PathSelector:
 class FixedEntropy(PathSelector):
     """Single fixed entropy value: plain ECMP behaviour."""
 
+    __slots__ = ("_value",)
+
     def __init__(self, value: Optional[int] = None):
         self._value = value
 
@@ -175,7 +182,7 @@ class FixedEntropy(PathSelector):
         return self._value
 
 
-@dataclass
+@dataclass(slots=True)
 class SenderStats:
     """Outcome record for one flow."""
 
@@ -228,6 +235,12 @@ class Receiver:
     the same lazy re-check pattern as the sender's RTO timer.
     """
 
+    # Slotted so the compiled hot path (repro.sim.fastpath) reads and
+    # writes these fields at fixed member offsets.
+    __slots__ = ("sim", "host", "flow_id", "_spans", "rx_data_pkts",
+                 "idle_timeout_ps", "idled_out", "_last_rx_ps",
+                 "_idle_handle", "_closed")
+
     def __init__(
         self,
         sim: EngineLike,
@@ -240,7 +253,6 @@ class Receiver:
         self.flow_id = flow_id
         obs = sim.obs
         self._spans = obs.spans if obs is not None else None
-        self.received_seqs: set[int] = set()
         self.rx_data_pkts = 0
         self.idle_timeout_ps = idle_timeout_ps
         self.idled_out = False
@@ -261,7 +273,6 @@ class Receiver:
             self._idle_handle = self.sim.after(
                 self.idle_timeout_ps, self._idle_check
             )
-        self.received_seqs.add(pkt.seq)
         self.handle_data(pkt)
 
     def handle_data(self, pkt: Packet) -> None:
@@ -303,6 +314,23 @@ class Receiver:
 
 class Sender:
     """The sending endpoint of one flow."""
+
+    # Slotted so the compiled hot path (repro.sim.fastpath) reads and
+    # writes these fields at fixed member offsets. ``receiver`` and
+    # ``start_handle`` are set by start_flow().
+    __slots__ = (
+        "sim", "net", "flow_id", "src", "dst", "size_bytes", "cc", "mss",
+        "base_rtt_ps", "line_gbps", "bdp_bytes", "path", "on_complete",
+        "rng", "is_inter_dc", "total_data_pkts", "_next_seq",
+        "outstanding", "inflight_bytes", "acked_seqs", "_retx_queue",
+        "_retx_set", "_lost_seqs", "cwnd", "pacing_rate_gbps",
+        "min_rtt_ps", "srtt_ps", "rttvar_ps", "_next_pace_ps",
+        "_pace_handle", "_rto_handle", "rto_multiplier", "min_rto_ps",
+        "max_rto_ps", "rto_backoff_max", "_rto_backoff", "abort_policy",
+        "_consecutive_timeouts", "_deadline_handle", "_aborted", "stats",
+        "_done", "_obs", "_events", "_spans", "_counters", "receiver",
+        "start_handle",
+    )
 
     def __init__(
         self,
@@ -351,13 +379,12 @@ class Sender:
         # Packetization: ceil(size / mss) packets, last may be short.
         self.total_data_pkts = (size_bytes + mss - 1) // mss
         self._next_seq = 0
-        self._next_parity_seq = self.total_data_pkts  # parity seqs follow data
 
         # Reliability state.
         self.outstanding: Dict[int, Packet] = {}  # seq -> last sent packet
         self.inflight_bytes = 0
         self.acked_seqs: set[int] = set()
-        self._retx_queue: list[int] = []
+        self._retx_queue: deque[int] = deque()
         self._retx_set: set[int] = set()
         # Sequences declared lost (queued for retransmit): their bytes are
         # retired from inflight until the retransmission goes out.
@@ -583,7 +610,7 @@ class Sender:
     def _peek_next(self) -> Optional[int]:
         # Purge retransmission entries that were acked while queued.
         while self._retx_queue and self._retx_queue[0] in self.acked_seqs:
-            self._retx_set.discard(self._retx_queue.pop(0))
+            self._retx_set.discard(self._retx_queue.popleft())
         if self._retx_queue:
             return self._retx_queue[0]
         if self._next_seq < self.total_data_pkts:
@@ -596,7 +623,7 @@ class Sender:
 
     def _pop_next(self) -> int:
         if self._retx_queue:
-            seq = self._retx_queue.pop(0)
+            seq = self._retx_queue.popleft()
             self._retx_set.discard(seq)
             return seq
         if self._next_seq < self.total_data_pkts:
